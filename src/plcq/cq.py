@@ -54,9 +54,12 @@ class Analysis:
             raise ValueError("CQ analysis needs a polyhedral norm (l1 or linf)")
         self.norm = norm
         self.phi_value = f.value(self.x)
-        # per-mode memos filled by strong_bcq_thresholds and endset_distance
+        # memos filled by strong_bcq_thresholds, endset_distance,
+        # best_tau_directional (per mode) and error_bound_modulus
         self._strong_thresholds: dict[str, tuple] = {}
         self._endset_distances: dict[str, object] = {}
+        self._directional_taus: dict[str, tuple] = {}
+        self._error_bound_modulus = None
 
     @cached_property
     def solution_set(self) -> UnionPolyhedron:
@@ -109,6 +112,16 @@ class Analysis:
     def normal_frechet(self) -> HPolyhedron:
         self.require_in_solution_set()
         return frechet_normal_cone(self.solution_set, self.x).body.canonical()
+
+    @cached_property
+    def clarke_ball_slice(self) -> tuple[Vec, ...]:
+        """Vertices of N_c(S, x) cap B_dual."""
+        return tuple(_ball_slice_vertices(self, self.normal_clarke))
+
+    @cached_property
+    def frechet_ball_slice(self) -> tuple[Vec, ...]:
+        """Vertices of N^(S, x) cap B_dual."""
+        return tuple(_ball_slice_vertices(self, self.normal_frechet))
 
     @cached_property
     def gradients(self) -> list[Vec]:
@@ -306,17 +319,17 @@ def check_frechet_bcq(an: Analysis):
 
 
 def _strong_bcq_sets(an: Analysis, mode: str):
-    """(N, C, K) of the mode's inclusion N cap B_dual subset of [0,tau]C + K,
-    after the mode's hypothesis guards."""
+    """(vertices of N cap B_dual, C, K) of the mode's inclusion
+    N cap B_dual subset of [0,tau]C + K, after the mode's hypothesis guards."""
     an.require_boundary()
     if mode == MODE_CLARKE:
-        return an.normal_clarke, an.clarke.set, HPolyhedron.single_point(zeros(an.f.dim))
+        return an.clarke_ball_slice, an.clarke.set, HPolyhedron.single_point(zeros(an.f.dim))
     if mode == MODE_EXTENDED:
         an.require_zero_level()
-        return an.normal_clarke, an.clarke.set, an.singular.set
+        return an.clarke_ball_slice, an.clarke.set, an.singular.set
     if mode == MODE_FRECHET:
         an.require_zero_level()
-        return an.normal_frechet, an.frechet.set, HPolyhedron.single_point(zeros(an.f.dim))
+        return an.frechet_ball_slice, an.frechet.set, HPolyhedron.single_point(zeros(an.f.dim))
     raise ValueError("unknown strong BCQ mode %r" % (mode,))
 
 
@@ -324,11 +337,10 @@ def strong_bcq_thresholds(an: Analysis, mode: str) -> tuple:
     """((v, t*(v)), ...) over the vertices v of N cap B_dual in generators()
     order, with t* from _scaled_sum_threshold.  Built once per Analysis and
     mode; the mode's guards run on every call."""
-    N, C, K = _strong_bcq_sets(an, mode)
+    W, C, K = _strong_bcq_sets(an, mode)
     table = an._strong_thresholds.get(mode)
     if table is None:
-        lhs = N.intersect(an.dual_ball).canonical()
-        table = tuple((v, _scaled_sum_threshold(v, C, K)) for v in lhs.generators().vertices)
+        table = tuple((v, _scaled_sum_threshold(v, C, K)) for v in W)
         an._strong_thresholds[mode] = table
     return table
 
@@ -360,7 +372,8 @@ def _ball_slice_vertices(an: Analysis, N: HPolyhedron) -> list[Vec]:
     the polar cone of N in the primal norm."""
     poly = N.intersect(an.dual_ball).canonical()
     v = poly.generators()
-    assert not v.rays and not v.lines
+    if v.rays or v.lines:
+        raise RuntimeError("N cap B_dual is unbounded: the dual norm ball is not a polytope")
     return list(v.vertices)
 
 
@@ -416,28 +429,33 @@ def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
 def best_tau_directional(an: Analysis, mode: str):
     """Infimal tau via sup over directions of d(h, T)/derivative ratios,
     one fractional LP per refined cone (Charnes-Cooper normalization).
+    Computed once per Analysis and mode; the mode's guards run on every call.
 
     Returns (tau, flags): INF when no finite tau exists, 0 (flagged) when
     every positive tau works."""
     an.require_boundary()
-    flags = set()
     if mode == MODE_CLARKE:
         an.require_lipschitz()
-        W = _ball_slice_vertices(an, an.normal_clarke)
-        G = an.clarke.vertices()
     elif mode == MODE_FRECHET:
         an.require_zero_level()
         an.require_bounded_frechet()
-        W = _ball_slice_vertices(an, an.normal_frechet)
-        G = an.frechet.vertices()
-        if an.frechet.is_empty:
-            flags.add(FLAG_CONVENTION)
     else:
         raise ValueError("directional route exists for clarke and frechet modes")
-    tau = _best_tau_cells(W, G, an.f.dim)
-    if tau == 0:
-        flags.add(FLAG_ANY_TAU)
-    return tau, flags
+    memo = an._directional_taus
+    if mode not in memo:
+        flags = set()
+        if mode == MODE_CLARKE:
+            W, G = an.clarke_ball_slice, an.clarke.vertices()
+        else:
+            W, G = an.frechet_ball_slice, an.frechet.vertices()
+            if an.frechet.is_empty:
+                flags.add(FLAG_CONVENTION)
+        tau = _best_tau_cells(W, G, an.f.dim)
+        if tau == 0:
+            flags.add(FLAG_ANY_TAU)
+        memo[mode] = tau, frozenset(flags)
+    tau, flags = memo[mode]
+    return tau, set(flags)
 
 
 def _endset_base(an: Analysis, mode: str) -> HPolyhedron:
@@ -524,12 +542,14 @@ def check_tangent_inclusion(an: Analysis) -> bool:
 def error_bound_modulus(an: Analysis):
     """Infimal tau with d(h, S_psi) <= tau max{0, psi(h)} for psi = phi°(x;.):
     the same refined-cone program with the tangent cone replaced by the
-    sublevel cone of psi."""
+    sublevel cone of psi.  Computed once per Analysis."""
     an.require_lipschitz()
-    G = an.clarke.vertices()
-    polar = nonneg_hull(an.clarke.set) if G else HPolyhedron.single_point(zeros(an.f.dim))
-    W = _ball_slice_vertices(an, polar)
-    return _best_tau_cells(W, G, an.f.dim)
+    if an._error_bound_modulus is None:
+        G = an.clarke.vertices()
+        polar = nonneg_hull(an.clarke.set) if G else HPolyhedron.single_point(zeros(an.f.dim))
+        W = _ball_slice_vertices(an, polar)
+        an._error_bound_modulus = _best_tau_cells(W, G, an.f.dim)
+    return an._error_bound_modulus
 
 
 def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
@@ -669,7 +689,7 @@ def verify_theorems(an: Analysis) -> dict:
     def thm_3_3():
         an.require_boundary()
         an.require_lipschitz()
-        W = _ball_slice_vertices(an, an.normal_clarke)
+        W = an.clarke_ball_slice
         G = an.clarke.vertices()
         tau_d, _ = best_tau_directional(an, MODE_CLARKE)
         for tau in _tau_grid([tau_d]):
@@ -847,7 +867,7 @@ def verify_theorems(an: Analysis) -> dict:
         an.require_boundary()
         an.require_zero_level()
         an.require_bounded_frechet()
-        W = _ball_slice_vertices(an, an.normal_frechet)
+        W = an.frechet_ball_slice
         G = an.frechet.vertices()
         tau_d, _ = best_tau_directional(an, MODE_FRECHET)
         for tau in _tau_grid([tau_d]):

@@ -791,9 +791,7 @@ def _poly_distance(x: Vec, P: HPolyhedron, norm: NormSpec):
             rows.append((tuple(-q for q in ei[:n]) + (Fraction(-1),), -x[i]))
             rows.append((ei[:n] + (Fraction(-1),), x[i]))
         obj = zeros(n) + (Fraction(1),)
-        res = simplex.lp_solve(obj, rows, eqs, sense="min")
-        assert res.status == simplex.OPTIMAL
-        return res.value
+        return _distance_lp(obj, rows, eqs, "linf")
     # l1: one slack per coordinate
     nv = 2 * n
     rows = [(a + zeros(n), b) for a, b in P.rows]
@@ -808,8 +806,16 @@ def _poly_distance(x: Vec, P: HPolyhedron, norm: NormSpec):
         row[n + i] = Fraction(-1)
         rows.append((tuple(row), x[i]))
     obj = zeros(n) + tuple(Fraction(1) for _ in range(n))
+    return _distance_lp(obj, rows, eqs, "l1")
+
+
+def _distance_lp(obj: Vec, rows, eqs, kind: str) -> Fraction:
+    """Minimum of a distance LP over a nonempty polyhedron, which always has
+    one; any other outcome is a solver fault."""
     res = simplex.lp_solve(obj, rows, eqs, sense="min")
-    assert res.status == simplex.OPTIMAL
+    if res.status != simplex.OPTIMAL:
+        raise RuntimeError("%s distance LP over a nonempty polyhedron returned %s"
+                           % (kind, res.status))
     return res.value
 
 

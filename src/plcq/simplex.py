@@ -2,9 +2,17 @@
 
 Solves  max/min  c.x  s.t.  A x <= b,  E x = d,  x free in R^n.
 
-Free variables are split x = u - w, inequalities get slacks, and phase one
-uses artificial variables.  Pivoting follows Bland's rule, so the method
-terminates on every input and every number stays an exact Fraction.
+Every inequality gets a slack, which starts in the basis.  Each free
+variable keeps its own column and is pivoted into the basis first, onto an
+equality row when one is left, else onto an inequality row; it never leaves
+the basis again.  Free variables are thus eliminated in place: their rows
+are set aside and read back only to recover the point, and the simplex
+proper runs on the slack columns alone.  Phase one adds an artificial
+variable only to an equality row that received no free variable and to a
+row whose right-hand side is then negative.  The objective row is one more
+tableau row, updated at every pivot.  Pivoting follows Bland's rule on the
+slack columns, so the method terminates on every input and every number
+stays an exact Fraction.
 """
 
 from __future__ import annotations
@@ -27,56 +35,50 @@ class LPResult:
     ray: Vec | None = None
 
 
-class _Tableau:
-    def __init__(self, ncols: int):
-        self.rows: list[list[Fraction]] = []  # each row: ncols coefficients + rhs
-        self.basis: list[int] = []
-        self.ncols = ncols
+def _pivot(rows: list[list[Fraction]], r: int, j: int, carried) -> None:
+    """Scale row r to a unit entry in column j and eliminate column j from
+    the other rows and from the carried objective rows, skipping zeros."""
+    row = rows[r]
+    inv = 1 / row[j]
+    nz = [k for k, q in enumerate(row) if q]
+    for k in nz:
+        row[k] *= inv
+    for other in (*rows, *carried):
+        if other is not row and other[j]:
+            f = other[j]
+            for k in nz:
+                other[k] -= f * row[k]
 
-    def pivot(self, r: int, j: int) -> None:
-        row = self.rows[r]
-        inv = 1 / row[j]
-        self.rows[r] = row = [x * inv for x in row]
-        for i, other in enumerate(self.rows):
-            if i != r and other[j] != 0:
-                f = other[j]
-                self.rows[i] = [x - f * y for x, y in zip(other, row)]
-        self.basis[r] = j
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        zc = list(cost)
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        zc[j] -= cb * row[j]
-        return zc
+def _bland(rows, basis: list[int], z: list[Fraction], carried, ncols: int) -> int | None:
+    """Maximize with objective row z (reduced costs, then minus the value)
+    by Bland's rule over the first ncols columns.  Returns None at an optimum,
+    or the entering column along which the objective grows without bound."""
+    carried = (z,) + tuple(carried)
+    while True:
+        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        if enter is None:
+            return None
+        leave = best = None
+        for i, row in enumerate(rows):
+            q = row[enter]
+            if q > 0:
+                ratio = row[-1] / q
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return enter
+        _pivot(rows, leave, enter, carried)
+        basis[leave] = enter
 
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum((cost[bi] * self.rows[i][-1] for i, bi in enumerate(self.basis)),
-                   Fraction(0))
 
-    def run(self, cost: list[Fraction]) -> int | None:
-        """Bland iterations until optimal (None) or unbounded (entering col)."""
-        while True:
-            zc = self.reduced_costs(cost)
-            enter = next((j for j in range(self.ncols) if zc[j] > 0), None)
-            if enter is None:
-                return None
-            leave = None
-            best = None
-            for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    ratio = row[-1] / row[enter]
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                return enter
-            self.pivot(leave, enter)
+def _complete(free_rows, v: list[Fraction], n: int, rhs: bool) -> Vec:
+    """Fill in the basic free variables of v = (x, slacks) from their rows,
+    homogeneous ones when rhs is False (for rays); returns x."""
+    for f, row in free_rows:
+        v[f] = (row[-1] if rhs else 0) - sum((q * w for q, w in zip(row, v) if q and w),
+                                             Fraction(0))
+    return tuple(v[:n])
 
 
 def lp_solve(objective: Vec, rows, eqs=(), sense: str = "max") -> LPResult:
@@ -85,10 +87,8 @@ def lp_solve(objective: Vec, rows, eqs=(), sense: str = "max") -> LPResult:
         raise ValueError("sense must be 'max' or 'min'")
     n = len(objective)
     flip = -1 if sense == "min" else 1
-    c = [flip * q for q in objective]
 
-    sys_rows = []
-    nslack = 0
+    ineqs = []
     for a, b in rows:
         if len(a) != n:
             raise ValueError("dimension mismatch in constraint row")
@@ -96,9 +96,8 @@ def lp_solve(objective: Vec, rows, eqs=(), sense: str = "max") -> LPResult:
             if b < 0:
                 return LPResult(INFEASIBLE)
             continue
-        sys_rows.append((a, b, nslack))
-        nslack += 1
-    sys_eqs = []
+        ineqs.append((a, b))
+    equals = []
     for e, d in eqs:
         if len(e) != n:
             raise ValueError("dimension mismatch in equality row")
@@ -106,90 +105,84 @@ def lp_solve(objective: Vec, rows, eqs=(), sense: str = "max") -> LPResult:
             if d != 0:
                 return LPResult(INFEASIBLE)
             continue
-        sys_eqs.append((e, d))
+        equals.append((e, d))
 
-    ncols = 2 * n + nslack
-    m = len(sys_rows) + len(sys_eqs)
-    tab = _Tableau(ncols + m)  # phase-1 artificials occupy the last m columns
+    # tableau over (x, slacks | rhs): equality rows first, so that free
+    # variables land on them first, then each inequality with its slack
+    m = len(ineqs)
+    zero = Fraction(0)
+    tab = [list(e) + [zero] * m + [d] for e, d in equals]
+    slack_of = [None] * len(equals)
+    for s, (a, b) in enumerate(ineqs):
+        row = list(a) + [zero] * m + [b]
+        row[n + s] = Fraction(1)
+        tab.append(row)
+        slack_of.append(s)
+    z = [flip * q for q in objective] + [zero] * (m + 1)
 
-    def build_row(a: Vec, rhs: Fraction, slack: int | None) -> list[Fraction]:
-        row = [Fraction(0)] * (ncols + m + 1)
-        for j, q in enumerate(a):
-            row[j] = q
-            row[n + j] = -q
-        if slack is not None:
-            row[2 * n + slack] = Fraction(1)
-        row[-1] = rhs
-        return row
-
-    k = 0
-    for a, b, s in sys_rows:
-        row = build_row(a, b, s)
-        if b < 0:
-            row = [-x for x in row]
-        row[ncols + k] = Fraction(1)
-        tab.rows.append(row)
-        tab.basis.append(ncols + k)
-        k += 1
-    for e, d in sys_eqs:
-        row = build_row(e, d, None)
-        if d < 0:
-            row = [-x for x in row]
-        row[ncols + k] = Fraction(1)
-        tab.rows.append(row)
-        tab.basis.append(ncols + k)
-        k += 1
-
-    # phase 1: maximize minus the sum of artificials
-    art_cost = [Fraction(0)] * (ncols + m)
-    for j in range(ncols, ncols + m):
-        art_cost[j] = Fraction(-1)
-    tab.run(art_cost)
-    if tab.objective_value(art_cost) != 0:
-        return LPResult(INFEASIBLE)
-
-    # drive leftover artificials out of the basis, dropping null rows
-    i = 0
-    while i < len(tab.rows):
-        if tab.basis[i] >= ncols:
-            j = next((j for j in range(ncols) if tab.rows[i][j] != 0), None)
-            if j is None:
-                del tab.rows[i]
-                del tab.basis[i]
-                continue
-            tab.pivot(i, j)
-        i += 1
-
-    # phase 2 on the real objective
-    tab.rows = [row[:ncols] + [row[-1]] for row in tab.rows]
-    tab.ncols = ncols
-    cost = [Fraction(0)] * ncols
+    # pivot each free variable in once; its row leaves the simplex proper
+    free_at = [None] * len(tab)
     for j in range(n):
-        cost[j] = c[j]
-        cost[n + j] = -c[j]
+        r = next((i for i, row in enumerate(tab) if free_at[i] is None and row[j]), None)
+        if r is not None:
+            _pivot(tab, r, j, (z,))
+            free_at[r] = j
+    free_rows = [(j, row) for j, row in zip(free_at, tab) if j is not None]
 
-    enter = tab.run(cost)
+    # the remaining rows involve slacks only; artificials (numbered from m,
+    # never stored as columns) cover rows without a feasible basic variable
+    srows: list[list[Fraction]] = []
+    basis: list[int] = []
+    for j, s, row in zip(free_at, slack_of, tab):
+        if j is not None:
+            continue
+        body = row[n:]
+        if body[-1] < 0:
+            body = [-q for q in body]
+            s = None
+        srows.append(body)
+        basis.append(m + len(basis) if s is None else s)
+    z_free, z = z[:n], z[n:]
 
-    def current_point() -> Vec:
-        full = [Fraction(0)] * ncols
-        for i, bi in enumerate(tab.basis):
-            full[bi] = tab.rows[i][-1]
-        return tuple(full[j] - full[n + j] for j in range(n))
+    if any(b >= m for b in basis):
+        # phase 1: maximize minus the sum of artificials
+        z1 = [sum(col) for col in zip(*(row for row, b in zip(srows, basis) if b >= m))]
+        _bland(srows, basis, z1, (z,), m)
+        if z1[-1] != 0:
+            return LPResult(INFEASIBLE)
+        # drive leftover artificials out of the basis, dropping null rows
+        i = 0
+        while i < len(srows):
+            if basis[i] >= m:
+                j = next((j for j in range(m) if srows[i][j]), None)
+                if j is None:
+                    del srows[i]
+                    del basis[i]
+                    continue
+                _pivot(srows, i, j, (z,))
+                basis[i] = j
+            i += 1
 
+    def point() -> Vec:
+        v = [zero] * (n + m)
+        for row, b in zip(srows, basis):
+            v[n + b] = row[-1]
+        return _complete(free_rows, v, n, True)
+
+    # phase 2: a nonbasic free column with a nonzero reduced cost moves
+    # either way without touching a slack, so the LP is unbounded along it
+    j = next((j for j, q in enumerate(z_free) if q), None)
+    if j is not None:
+        d = [zero] * (n + m)
+        d[j] = Fraction(1 if z_free[j] > 0 else -1)
+        return LPResult(UNBOUNDED, point=point(), ray=_complete(free_rows, d, n, False))
+
+    enter = _bland(srows, basis, z, (), m)
     if enter is not None:
-        direction = [Fraction(0)] * ncols
-        direction[enter] = Fraction(1)
-        for i, bi in enumerate(tab.basis):
-            direction[bi] = -tab.rows[i][enter]
+        d = [zero] * (n + m)
+        d[n + enter] = Fraction(1)
+        for row, b in zip(srows, basis):
+            d[n + b] = -row[enter]
         # the ray improves the stated objective (increases a max, decreases a min)
-        ray = tuple(direction[j] - direction[n + j] for j in range(n))
-        return LPResult(UNBOUNDED, point=current_point(), ray=ray)
-
-    value = flip * tab.objective_value(cost)
-    return LPResult(OPTIMAL, value=value, point=current_point())
-
-
-def lp_feasible(rows, eqs, n: int) -> Vec | None:
-    """A feasible point of the system, or None."""
-    res = lp_solve(tuple(Fraction(0) for _ in range(n)), rows, eqs)
-    return res.point if res.status == OPTIMAL else None
+        return LPResult(UNBOUNDED, point=point(), ray=_complete(free_rows, d, n, False))
+    return LPResult(OPTIMAL, value=-flip * z[-1], point=point())

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from plcq import simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
-                     FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _in_scaled_sum,
-                     _scaled_sum_threshold, _tau_grid, analyze, best_tau_directional,
-                     best_tau_endset, check_clarke_bcq, check_extended_bcq,
+                     FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _ball_slice_vertices,
+                     _in_scaled_sum, _scaled_sum_threshold, _tau_grid, analyze,
+                     best_tau_directional, best_tau_endset, check_clarke_bcq,
+                     check_extended_bcq,
                      check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
                      check_tangent_inclusion, endset_distance, error_bound_modulus,
                      strong_bcq_thresholds, verify_prop32, verify_theorems)
@@ -185,6 +188,58 @@ def test_error_bound_modulus_examples():
     assert error_bound_modulus(kink_at_zero()) == 2
     assert error_bound_modulus(Analysis(PLFunction(vmax(atom([2]), atom([2]))), vec(0))) == F(1, 2)
     assert error_bound_modulus(abs_at_zero()) == 1
+
+
+def test_directional_routes_computed_once(monkeypatch):
+    calls = []
+    solve = simplex.lp_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "lp_solve", counting)
+    an = kink_at_zero()
+    first = best_tau_directional(an, MODE_CLARKE), error_bound_modulus(an)
+    n_lps = len(calls)
+    assert n_lps > 0
+    first[0][1].add("MUTATED")  # the flags handed out are a copy
+    again = best_tau_directional(an, MODE_CLARKE), error_bound_modulus(an)
+    assert len(calls) == n_lps
+    assert again == ((2, set()), 2)
+    fresh = kink_at_zero()
+    assert again == (best_tau_directional(fresh, MODE_CLARKE), error_bound_modulus(fresh))
+    # one N cap B_dual vertex list serves the threshold table and the routes
+    assert an.clarke_ball_slice == tuple(_ball_slice_vertices(an, an.normal_clarke))
+    assert tuple(v for v, _ in strong_bcq_thresholds(an, MODE_CLARKE)) == an.clarke_ball_slice
+
+
+def test_directional_memo_keeps_guards_and_flags():
+    # f = min(x, 2x) at 0: empty Frechet subdifferential, conventional flags
+    an = Analysis(PLFunction(vmin(atom([1]), atom([2]))), vec(0))
+    for _ in range(2):
+        tau, flags = best_tau_directional(an, MODE_FRECHET)
+        assert FLAG_CONVENTION in flags
+        flags.clear()
+        with pytest.raises(ValueError):
+            best_tau_directional(an, MODE_EXTENDED)
+    # the guards still run once the memos are filled
+    an = kink_at_zero()
+    best_tau_directional(an, MODE_CLARKE)
+    error_bound_modulus(an)
+    an.lipschitz = False  # overrides the cached property
+    with pytest.raises(NotApplicable):
+        best_tau_directional(an, MODE_CLARKE)
+    with pytest.raises(NotApplicable):
+        error_bound_modulus(an)
+    with pytest.raises(NotApplicable):
+        best_tau_directional(neg_abs_at_zero(), MODE_CLARKE)
+
+
+def test_ball_slice_rejects_unbounded_ball():
+    half_line = SimpleNamespace(dual_ball=HPolyhedron(1, rows=[(vec(1), F(1))]))
+    with pytest.raises(RuntimeError, match="unbounded"):
+        _ball_slice_vertices(half_line, HPolyhedron.full_space(1))
 
 
 def test_verify_prop32_examples():

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plcq
+from plcq import simplex
 from plcq.linalg import INF, add, dot, scale, vec, zeros
 from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
                             distance, hull, in_scaled_set, minkowski_sum,
@@ -231,6 +237,44 @@ def test_distance_l2_flagged_float():
     assert isinstance(d, float)
     assert abs(d - 2 ** 0.5 / 2) < 1e-12
     assert not NormSpec("l2").is_exact
+
+
+@pytest.mark.parametrize("kind", ["linf", "l1"])
+def test_distance_lp_failure_raises(monkeypatch, kind):
+    monkeypatch.setattr(simplex, "lp_solve",
+                        lambda *args, **kwargs: simplex.LPResult(simplex.INFEASIBLE))
+    box = HPolyhedron(1, rows=[(vec(1), F(1)), (vec(-1), F(0))])
+    with pytest.raises(RuntimeError, match="%s distance LP .* returned infeasible" % kind):
+        distance(vec(3), box, NormSpec(kind))
+
+
+_FAILING_LP_SCRIPT = """
+import sys
+from fractions import Fraction
+from plcq import simplex
+from plcq.linalg import vec
+from plcq.polyhedra import HPolyhedron, NormSpec, distance
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+simplex.lp_solve = lambda *args, **kwargs: simplex.LPResult(simplex.INFEASIBLE)
+box = HPolyhedron(1, rows=[(vec(1), Fraction(1)), (vec(-1), Fraction(0))])
+try:
+    distance(vec(3), box, NormSpec("linf"))
+except RuntimeError as e:
+    print("raised:", e)
+"""
+
+
+def test_distance_lp_failure_raises_under_optimize():
+    # python -O strips assert statements; the check must not depend on them
+    src = str(Path(plcq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _FAILING_LP_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: linf distance LP" in out.stdout
 
 
 # -- norm balls ----------------------------------------------------------------------
