@@ -4,8 +4,8 @@ BCQ and tau-strong BCQ decisions, and error-bound constants."""
 
 from .linalg import INF, Vec, frac, frac_str, vec
 from .polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
-                        convex_hull, distance, hull, minkowski_sum, nonneg_hull,
-                        polar_cone, segment_hull, support_function, union_subset)
+                        distance, hull, minkowski_sum, nonneg_hull, polar_cone,
+                        segment_hull, support_function, union_subset)
 from .plfunc import Atom, CellComplex, Max, Min, PLFunction, atom, vmax, vmin, is_boundary_point
 from .cones import (LocalFaceAtlas, clarke_normal_cone, clarke_tangent_cone,
                     contingent_cone, face_atlas, frechet_normal_cone)

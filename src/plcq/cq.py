@@ -5,7 +5,9 @@ exact polyhedral inclusions, computes infimal tau constants by two
 independent routes (direction-wise fractional programs over refined cones,
 and reciprocal end-set distances), the error-bound modulus of the
 linearized inequality, and replays the characterization theorems relating
-all of these as machine-checkable identities.
+all of these as machine-checkable identities.  Each strong-BCQ identity is
+decided exactly: both of its sides are closed up-sets {tau >= T} whose
+thresholds are computed, not sampled on a tau grid.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from .linalg import INF, Vec, dot, is_zero, neg, sub, zeros
 from . import simplex
@@ -32,8 +35,6 @@ MODE_FRECHET = "frechet"
 FLAG_CONVENTION = "CONVENTION_APPLIED"
 FLAG_ANY_TAU = "ANY_POSITIVE_TAU"
 FLAG_BCQ_FAILS = "BCQ_FAILS"
-
-_GRID = Fraction(1, 1024)  # tightness certification grid 1 - 1/1024
 
 
 class NotApplicable(Exception):
@@ -145,6 +146,11 @@ class Analysis:
         return self.singular.set.set_eq(HPolyhedron.single_point(zeros(self.f.dim)))
 
     @cached_property
+    def subdiff_in_normal(self) -> bool:
+        """@c f(x) subset of N_c(S, x)."""
+        return self.clarke.set.subset_of(self.normal_clarke) is True
+
+    @cached_property
     def clarke_subdiff_distance(self):
         """d(0, E[@c f(x)]) in the dual norm, of the raw subdifferential (the
         Clarke end-set route intersects it with the normal cone first)."""
@@ -172,28 +178,47 @@ class Analysis:
         if not self.frechet.bounded():
             raise NotApplicable("Frechet subdifferential is unbounded")
 
+    def require_regular(self):
+        if not self.regular:
+            raise NotApplicable("needs a regular point")
+
+    def require_trivial_singular(self):
+        if not self.singular_is_zero:
+            raise NotApplicable("needs a trivial singular subdifferential")
+
+    def require_nonempty_clarke(self):
+        if self.clarke.set.is_empty:
+            raise NotApplicable("empty Clarke subdifferential")
+
+    def require_subdiff_in_normal(self):
+        if not self.subdiff_in_normal:
+            raise NotApplicable("needs the subdifferential inside the normal cone")
+
 
 # ---------------------------------------------------------------------------
 # membership in scaled sums [0,tau]C + K (exact, including non-closed cases)
 # ---------------------------------------------------------------------------
 
-def _lifted_system(z: Vec, C: HPolyhedron, K: HPolyhedron):
-    """Rows and equalities over (t, k) of z - k in tC, k in K, t >= 0.  For
+def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
+    """Rows and equalities of z - k in tC, k in K, t >= 0 over (z, t, k), each
+    as (z part or None when it is zero, (t, k) part, right-hand side).  For
     t > 0 the first block reads z - k in tC; at t = 0 it reads z - k in rec(C)."""
-    n = C.dim
-    rows = []
-    eqs = []
+    zero = Fraction(0)
     # a.(z - k) <= t b, and k in K
-    for a, b in C.rows:
-        rows.append(((-b,) + neg(a), -dot(a, z)))
-    for e, d in C.eqs:
-        eqs.append(((-d,) + neg(e), -dot(e, z)))
-    for a, b in K.rows:
-        rows.append(((Fraction(0),) + a, b))
-    for e, d in K.eqs:
-        eqs.append(((Fraction(0),) + e, d))
-    rows.append(((Fraction(-1),) + zeros(n), Fraction(0)))
+    rows = [(a, (-b,) + neg(a), zero) for a, b in C.rows]
+    eqs = [(e, (-d,) + neg(e), zero) for e, d in C.eqs]
+    rows += [(None, (zero,) + a, b) for a, b in K.rows]
+    eqs += [(None, (zero,) + e, d) for e, d in K.eqs]
+    rows.append((None, (Fraction(-1),) + zeros(C.dim), zero))
     return rows, eqs
+
+
+def _lifted_system(z: Vec, C: HPolyhedron, K: HPolyhedron):
+    """The lifted rows over (t, k) for a fixed z: the z part moves to the
+    right-hand side."""
+    rows, eqs = _lifted_rows(C, K)
+    return ([(a, b if za is None else b - dot(za, z)) for za, a, b in rows],
+            [(e, d if ze is None else d - dot(ze, z)) for ze, e, d in eqs])
 
 
 def _in_scaled_sum(z: Vec, C: HPolyhedron, K: HPolyhedron, r, include_zero=True) -> bool:
@@ -238,30 +263,22 @@ def _scaled_sum_threshold(z: Vec, C: HPolyhedron, K: HPolyhedron):
 # BCQ checks
 # ---------------------------------------------------------------------------
 
-def _nonzero_generator(N: HPolyhedron) -> Vec | None:
-    v = N.generators()
-    if v.rays:
-        return v.rays[0]
-    if v.lines:
-        return v.lines[0]
-    return None
+def _cone_bcq(N: HPolyhedron, C: HPolyhedron):
+    """Decide N subset of [0,+oo)C for a closed convex cone N and convex C,
+    where [0,+oo)C = {0} when C is empty (flagged as the convention).
+    [0,+oo)C is a convex cone, so generator membership suffices; membership
+    of z != 0 is an exact one-dimensional scaling test, which stays correct
+    even when [0,+oo)C fails to be closed (unreachable recession directions).
 
-
-def _cone_in_scaled_hull(N: HPolyhedron, C: HPolyhedron):
-    """Decide N subset of [0,+oo)C for a closed convex cone N and nonempty
-    convex C.  [0,+oo)C is a convex cone, so generator membership suffices;
-    membership of z != 0 is an exact one-dimensional scaling test, which
-    stays correct even when [0,+oo)C fails to be closed (unreachable
-    recession directions)."""
+    Returns (holds, witness_or_None, flags)."""
     v = N.generators()
-    for r in v.rays:
-        if not in_scaled_set(r, C, None, include_zero=True):
-            return r
-    for l in v.lines:
-        for d in (l, neg(l)):
-            if not in_scaled_set(d, C, None, include_zero=True):
-                return d
-    return True
+    if C.is_empty:
+        holds = N.set_eq(HPolyhedron.single_point(zeros(N.dim)))
+        return holds, None if holds else (v.rays + v.lines)[0], {FLAG_CONVENTION}
+    for d in v.rays + tuple(x for l in v.lines for x in (l, neg(l))):
+        if not in_scaled_set(d, C, None, include_zero=True):
+            return False, d, set()
+    return True, None, set()
 
 
 def check_clarke_bcq(an: Analysis):
@@ -269,16 +286,7 @@ def check_clarke_bcq(an: Analysis):
 
     Returns (holds, witness_or_None, flags)."""
     an.require_boundary()
-    flags = set()
-    sub = an.clarke.set
-    if sub.is_empty:
-        flags.add(FLAG_CONVENTION)
-        holds = an.normal_clarke.set_eq(HPolyhedron.single_point(zeros(an.f.dim)))
-        return holds, None if holds else _nonzero_generator(an.normal_clarke), flags
-    w = _cone_in_scaled_hull(an.normal_clarke, sub)
-    if w is True:
-        return True, None, flags
-    return False, w, flags
+    return _cone_bcq(an.normal_clarke, an.clarke.set)
 
 
 def check_extended_bcq(an: Analysis):
@@ -293,29 +301,21 @@ def check_extended_bcq(an: Analysis):
     else:
         # recession of the subdifferential sits inside the singular cone, so
         # the scaled hull plus the singular cone is closed
-        assert sub.recession().subset_of(sing) is True
+        if sub.recession().subset_of(sing) is not True:
+            raise RuntimeError("recession cone of the Clarke subdifferential "
+                               "is not inside the singular cone")
         rhs = minkowski_sum(nonneg_hull(sub), sing)
     w = an.normal_clarke.subset_of(rhs)
-    if w is True:
-        return True, None, flags
-    return False, w, flags
+    return (True, None, flags) if w is True else (False, w, flags)
 
 
 def check_frechet_bcq(an: Analysis):
     """N^(S, x) == [0,+oo) * Frechet subdifferential (set equality)."""
     an.require_boundary()
-    flags = set()
-    sub = an.frechet.set
-    Nf = an.normal_frechet
-    if sub.is_empty:
-        flags.add(FLAG_CONVENTION)
-        holds = Nf.set_eq(HPolyhedron.single_point(zeros(an.f.dim)))
-        return holds, None if holds else _nonzero_generator(Nf), flags
-    assert sub.subset_of(Nf) is True, "Frechet subgradients must be Frechet normals"
-    w = _cone_in_scaled_hull(Nf, sub)
-    if w is True:
-        return True, None, flags
-    return False, w, flags
+    sub, Nf = an.frechet.set, an.normal_frechet
+    if not sub.is_empty and sub.subset_of(Nf) is not True:
+        raise RuntimeError("Frechet subgradients must be Frechet normals")
+    return _cone_bcq(Nf, sub)
 
 
 def _strong_bcq_sets(an: Analysis, mode: str):
@@ -411,19 +411,34 @@ def _best_tau_cells(W: list[Vec], G: list[Vec], dim: int):
     return best
 
 
-def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
-    """Does d(h,T) <= tau * max{0, phi-support(h)} hold for all h?  Evaluated
-    exactly on the generators of every full-dimensional refined cone."""
-    tau = Fraction(tau)
+def _dirwise_tau(W: list[Vec], G: list[Vec], dim: int):
+    """Least tau with d(h,T) <= tau * max{0, phi-support(h)} for all h, read
+    exactly off the generators of every full-dimensional refined cone: the
+    largest w.r/u.r over its rays r, INF when u.r = 0 < w.r or a line l has
+    w.l != 0, and 0 when every positive tau works.  u.h >= 0 on the cone
+    (u.l = 0 on its lines), so the valid tau form the up-set {tau >= result}."""
+    best = Fraction(0)
     for u, w, C in _refined_cells(W, G, dim):
         v = C.generators()
         for r in v.rays:
-            if dot(w, r) > tau * dot(u, r):
-                return False
+            ur = dot(u, r)
+            if ur < 0:
+                raise RuntimeError("refined cone ray with u.r < 0")
+            if ur > 0:
+                best = max(best, dot(w, r) / ur)
+            elif dot(w, r) > 0:
+                best = INF
         for l in v.lines:
-            if dot(w, l) != tau * dot(u, l):
-                return False
-    return True
+            if dot(u, l) != 0:
+                raise RuntimeError("refined cone line with u.l != 0")
+            if dot(w, l) != 0:
+                best = INF
+    return best
+
+
+def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
+    """Does d(h,T) <= tau * max{0, phi-support(h)} hold for all h?"""
+    return _dirwise_tau(W, G, dim) <= Fraction(tau)
 
 
 def best_tau_directional(an: Analysis, mode: str):
@@ -515,7 +530,7 @@ def check_subdiff_in_normal(an: Analysis) -> bool:
     (tangent cone inside the zero-sublevel cone of phi°) verified against it."""
     an.require_lipschitz()
     an.require_in_solution_set()
-    lhs = an.clarke.set.subset_of(an.normal_clarke) is True
+    lhs = an.subdiff_in_normal
     rhs = an.tangent_clarke.body.subset_of(an.sublevel_cone) is True
     if lhs != rhs:
         raise RuntimeError("subdifferential/tangent-cone duality failed")
@@ -554,21 +569,12 @@ def error_bound_modulus(an: Analysis):
 
 def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
     """[0,r]C + K as a projection of {(z,t,k) : z-k in tC, k in K, 0<=t<=r},
-    valid whenever rec(C) is contained in K (asserted by callers)."""
+    valid whenever rec(C) is contained in K (checked by callers)."""
     n = C.dim
-    rows = []
-    eqs = []
-    zero_n = zeros(n)
-    for a, b in C.rows:
-        rows.append((a + (-b,) + neg(a), Fraction(0)))
-    for e, d in C.eqs:
-        eqs.append((e + (-d,) + neg(e), Fraction(0)))
-    for a, b in K.rows:
-        rows.append((zero_n + (Fraction(0),) + a, b))
-    for e, d in K.eqs:
-        eqs.append((zero_n + (Fraction(0),) + e, d))
-    rows.append((zero_n + (Fraction(-1),) + zero_n, Fraction(0)))
-    rows.append((zero_n + (Fraction(1),) + zero_n, Fraction(r)))
+    rows, eqs = (
+        [((zeros(n) if za is None else za) + a, b) for za, a, b in block]
+        for block in _lifted_rows(C, K))
+    rows.append((zeros(n) + (Fraction(1),) + zeros(n), Fraction(r)))
     lifted = HPolyhedron(2 * n + 1, rows, eqs)
     return lifted.project(tuple(range(n))).canonical()
 
@@ -586,7 +592,9 @@ def verify_prop32(an: Analysis, r) -> dict:
     sub, sing = an.clarke.set, an.singular.set
     if sub.is_empty:
         raise NotApplicable("empty Clarke subdifferential")
-    assert sub.recession().subset_of(sing) is True
+    if sub.recession().subset_of(sing) is not True:
+        raise RuntimeError("recession cone of the Clarke subdifferential "
+                           "is not inside the singular cone")
     out = {}
     out["i"] = minkowski_sum(sub, sing).set_eq(sub)
     closure = segment_hull(sub, r)
@@ -619,264 +627,185 @@ def verify_prop32(an: Analysis, r) -> dict:
 # theorem battery
 # ---------------------------------------------------------------------------
 
-def _tau_grid(taus) -> list[Fraction]:
-    grid = {Fraction(1, 1024), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(1024)}
-    for t in taus:
-        if t is not INF and t > 0:
-            grid |= {t, t * (1 - _GRID), t * (1 + _GRID)}
-    return sorted(grid)
+# Each strong-BCQ identity states that N cap B_dual subset of [0,tau]C (+ K)
+# holds exactly for tau >= T_R, with T_R in closed form on its right-hand
+# side.  The left side is the closed up-set {tau >= T_S}, T_S the largest
+# vertex threshold t*(v) (0 without vertices).  Two such up-sets of (0, oo)
+# agree iff they agree at every T in (0, oo) among T_S and T_R and at half the
+# least of those (at 1 when there is none), so the battery decides each
+# identity at those probes, asking check_strong_bcq for the left side.
+
+def _endset_tau(bcq: bool, d):
+    """Least tau with bcq and d >= 1/tau: INF when there is none, 0 when
+    every tau > 0 works."""
+    if not bcq:
+        return INF
+    if d is INF:
+        return Fraction(0)
+    return INF if d == 0 else 1 / d
 
 
-def _rhs_endset(bcq: bool, d, tau: Fraction) -> bool:
-    return bcq and (d is INF or d >= 1 / tau)
+def _bcq_holds(an: Analysis, mode: str) -> bool:
+    check = {MODE_CLARKE: check_clarke_bcq, MODE_EXTENDED: check_extended_bcq,
+             MODE_FRECHET: check_frechet_bcq}[mode]
+    return check(an)[0]
+
+
+def _tau_endset(an: Analysis, mode: str):
+    """1/d(0, E[.]) of the mode's end set."""
+    return _endset_tau(_bcq_holds(an, mode), endset_distance(an, mode))
+
+
+def _tau_subdiff_endset(an: Analysis, mode: str):
+    """1/d(0, E[@c f(x)]) of the raw Clarke subdifferential."""
+    return _endset_tau(_bcq_holds(an, mode), an.clarke_subdiff_distance)
+
+
+def _tau_error_bound(an: Analysis, mode: str):
+    return error_bound_modulus(an) if _bcq_holds(an, mode) else INF
+
+
+def _tau_dirwise(an: Analysis, mode: str):
+    if mode == MODE_CLARKE:
+        return _dirwise_tau(an.clarke_ball_slice, an.clarke.vertices(), an.f.dim)
+    return _dirwise_tau(an.frechet_ball_slice, an.frechet.vertices(), an.f.dim)
+
+
+def _clarke_taus_agree(an: Analysis) -> bool:
+    """Under Clarke BCQ the direction-wise and end-set routes give one tau."""
+    tau_d, _ = best_tau_directional(an, MODE_CLARKE)
+    tau_e, _ = best_tau_endset(an, MODE_CLARKE)
+    return not _bcq_holds(an, MODE_CLARKE) or tau_d == tau_e
+
+
+def _clarke_distances_agree(an: Analysis) -> bool:
+    return endset_distance(an, MODE_CLARKE) == an.clarke_subdiff_distance
+
+
+def _zero_level_by_continuity(an: Analysis):
+    if an.phi_value != 0:
+        raise RuntimeError("a continuous boundary point must sit on the zero level")
+
+
+def _prop31(an: Analysis) -> bool:
+    check_subdiff_in_normal(an)  # raises on mismatch of the two sides
+    return True
+
+
+def _thm32(an: Analysis) -> bool:
+    check_tangent_inclusion(an)  # raises when either direction fails
+    return True
+
+
+def _prop32(an: Analysis) -> bool:
+    return all(all(verify_prop32(an, r).values())
+               for r in (Fraction(1), Fraction(1, 2), Fraction(3)))
+
+
+def _prop41(an: Analysis) -> bool:
+    sub = an.frechet.set
+    if sub.is_empty:
+        raise NotApplicable("empty Frechet subdifferential")
+    point0 = HPolyhedron.single_point(zeros(an.f.dim))
+    return all(segment_hull(sub, r).set_eq(_scaled_sum_projection(sub, point0, r))
+               for r in (Fraction(1), Fraction(2)))
+
+
+def _prop42(an: Analysis) -> bool:
+    bcq, _, _ = check_frechet_bcq(an)
+    lhs = HPolyhedron(an.f.dim, [(g, Fraction(0)) for g in an.frechet.vertices()]).canonical()
+    eq48 = lhs.set_eq(an.tangent_contingent.body.convex_hull().canonical())
+    if bcq:
+        return eq48
+    return not eq48 or an.frechet.set.contains(zeros(an.f.dim))
+
+
+def _guards(*names):
+    return tuple(getattr(Analysis, "require_" + n) for n in names)
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """One paper identity: its hypothesis guards, then either a predicate
+    (mode None: rhs(an) is the verdict) or a strong-BCQ comparison of the
+    mode's left side with {tau >= rhs(an, mode)}.  `also` is a further check
+    of the row; where `exact(an)` is false only the right side has to imply
+    the left."""
+    name: str
+    guards: tuple
+    mode: str | None
+    rhs: Callable
+    also: Callable | None = None
+    exact: Callable = lambda an: True
+
+
+_THM41 = _Identity("thm4.1", _guards("boundary", "zero_level", "bounded_frechet"),
+                   MODE_FRECHET, _tau_endset)
+
+_IDENTITIES = (
+    _Identity("thm3.1", _guards("boundary", "lipschitz"), MODE_CLARKE, _tau_endset,
+              also=_clarke_taus_agree),
+    _Identity("cor3.1", _guards("boundary", "lipschitz", "subdiff_in_normal"),
+              MODE_CLARKE, _tau_subdiff_endset, also=_clarke_distances_agree),
+    _Identity("prop3.1", (), None, _prop31),
+    _Identity("thm3.2", (), None, _thm32),
+    _Identity("thm3.3", _guards("boundary", "lipschitz"), MODE_CLARKE, _tau_dirwise),
+    _Identity("thm3.4", _guards("boundary", "lipschitz"), MODE_CLARKE, _tau_error_bound,
+              exact=lambda an: an.subdiff_in_normal),
+    _Identity("cor3.2", _guards("boundary", "lipschitz", "regular"), MODE_CLARKE,
+              _tau_subdiff_endset),
+    _Identity("cor3.3", _guards("boundary", "lipschitz", "regular"), MODE_CLARKE,
+              _tau_error_bound),
+    _Identity("prop3.2", (), None, _prop32),
+    _Identity("thm3.5", _guards("boundary", "zero_level"), MODE_EXTENDED, _tau_endset),
+    _Identity("thm3.6", _guards("boundary", "zero_level", "trivial_singular"), MODE_CLARKE,
+              _tau_endset),
+    _Identity("cor3.4", _guards("boundary", "zero_level", "nonempty_clarke",
+                                "subdiff_in_normal"), MODE_EXTENDED, _tau_subdiff_endset),
+    _Identity("cor3.5", _guards("boundary", "zero_level", "trivial_singular",
+                                "subdiff_in_normal"), MODE_CLARKE, _tau_subdiff_endset),
+    _Identity("prop4.1", _guards("boundary", "bounded_frechet"), None, _prop41),
+    _THM41,
+    _Identity("cor4.1", _guards("boundary", "lipschitz") + (_zero_level_by_continuity,)
+              + _THM41.guards, MODE_FRECHET, _tau_endset),
+    _Identity("prop4.2", _guards("boundary", "bounded_frechet"), None, _prop42),
+    _Identity("prop4.3", _guards("boundary", "zero_level", "bounded_frechet"), MODE_FRECHET,
+              _tau_dirwise),
+)
+
+
+def _probes(*thresholds) -> list[Fraction]:
+    inner = sorted({t for t in thresholds if t is not INF and t > 0})
+    return inner + [inner[0] / 2 if inner else Fraction(1)]
+
+
+def _holds(an: Analysis, row: _Identity) -> bool:
+    for guard in row.guards:
+        guard(an)
+    if row.mode is None:
+        return row.rhs(an)
+    if row.also is not None and not row.also(an):
+        return False
+    t_r = row.rhs(an, row.mode)
+    t_s = max((t for _, t in strong_bcq_thresholds(an, row.mode)), default=Fraction(0))
+    exact = row.exact(an)
+    for tau in _probes(t_s, t_r):
+        lhs, _ = check_strong_bcq(an, tau, row.mode)
+        rhs = t_r <= tau
+        if lhs != rhs and (exact or rhs):
+            return False
+    return True
 
 
 def verify_theorems(an: Analysis) -> dict:
     """Each paper identity evaluated from independent routes; values are
     'pass', 'fail' or 'not-applicable'."""
     results: dict[str, str] = {}
-
-    def run(name, fn):
+    for row in _IDENTITIES:
         try:
-            results[name] = "pass" if fn() else "fail"
-        except (NotApplicable, NotLipschitz) as e:
-            results[name] = "not-applicable"
-
-    def clarke_setup():
-        an.require_boundary()
-        an.require_lipschitz()
-        bcq, _, _ = check_clarke_bcq(an)
-        d = endset_distance(an, MODE_CLARKE)
-        tau_d, _ = best_tau_directional(an, MODE_CLARKE)
-        tau_e, fl = best_tau_endset(an, MODE_CLARKE)
-        return bcq, d, tau_d, tau_e
-
-    def thm_3_1():
-        bcq, d, tau_d, tau_e = clarke_setup()
-        if bcq and not (tau_d == tau_e or (tau_d is INF and tau_e is INF)):
-            return False
-        for tau in _tau_grid([tau_d, tau_e]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _rhs_endset(bcq, d, tau):
-                return False
-        return True
-    run("thm3.1", thm_3_1)
-
-    def cor_3_1():
-        bcq, d, tau_d, tau_e = clarke_setup()
-        if an.clarke.set.subset_of(an.normal_clarke) is not True:
-            raise NotApplicable("needs the subdifferential inside the normal cone")
-        d_sub = an.clarke_subdiff_distance
-        if d != d_sub:
-            return False
-        for tau in _tau_grid([tau_d]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _rhs_endset(bcq, d_sub, tau):
-                return False
-        return True
-    run("cor3.1", cor_3_1)
-
-    def prop_3_1():
-        check_subdiff_in_normal(an)  # raises on mismatch of the two sides
-        return True
-    run("prop3.1", prop_3_1)
-
-    def thm_3_2():
-        check_tangent_inclusion(an)  # raises when either direction fails
-        return True
-    run("thm3.2", thm_3_2)
-
-    def thm_3_3():
-        an.require_boundary()
-        an.require_lipschitz()
-        W = an.clarke_ball_slice
-        G = an.clarke.vertices()
-        tau_d, _ = best_tau_directional(an, MODE_CLARKE)
-        for tau in _tau_grid([tau_d]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _dirwise_strong_holds(W, G, tau, an.f.dim):
-                return False
-        return True
-    run("thm3.3", thm_3_3)
-
-    def thm_3_4():
-        an.require_boundary()
-        an.require_lipschitz()
-        bcq, _, _ = check_clarke_bcq(an)
-        eb = error_bound_modulus(an)
-        incl = an.clarke.set.subset_of(an.normal_clarke) is True
-        for tau in _tau_grid([eb]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            rhs = bcq and eb is not INF and eb <= tau
-            if rhs and not holds:
-                return False
-            if incl and holds != rhs:
-                return False
-        return True
-    run("thm3.4", thm_3_4)
-
-    def cor_3_2():
-        an.require_boundary()
-        an.require_lipschitz()
-        if not an.regular:
-            raise NotApplicable("needs a regular point")
-        bcq, _, _ = check_clarke_bcq(an)
-        d_sub = an.clarke_subdiff_distance
-        tau_e, _ = best_tau_endset(an, MODE_CLARKE)
-        for tau in _tau_grid([tau_e]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _rhs_endset(bcq, d_sub, tau):
-                return False
-        return True
-    run("cor3.2", cor_3_2)
-
-    def cor_3_3():
-        an.require_boundary()
-        an.require_lipschitz()
-        if not an.regular:
-            raise NotApplicable("needs a regular point")
-        bcq, _, _ = check_clarke_bcq(an)
-        eb = error_bound_modulus(an)
-        for tau in _tau_grid([eb]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            rhs = bcq and eb is not INF and eb <= tau
-            if holds != rhs:
-                return False
-        return True
-    run("cor3.3", cor_3_3)
-
-    def prop_3_2():
-        if an.clarke.set.is_empty:
-            raise NotApplicable("empty Clarke subdifferential")
-        for r in (Fraction(1), Fraction(1, 2), Fraction(3)):
-            res = verify_prop32(an, r)
-            if not all(res.values()):
-                return False
-        return True
-    run("prop3.2", prop_3_2)
-
-    def thm_3_5():
-        an.require_boundary()
-        an.require_zero_level()
-        bcq, _, _ = check_extended_bcq(an)
-        d = endset_distance(an, MODE_EXTENDED)
-        tau_e, _ = best_tau_endset(an, MODE_EXTENDED)
-        for tau in _tau_grid([tau_e]):
-            holds, _ = check_strong_bcq(an, tau, MODE_EXTENDED)
-            if holds != _rhs_endset(bcq, d, tau):
-                return False
-        return True
-    run("thm3.5", thm_3_5)
-
-    def thm_3_6():
-        an.require_boundary()
-        an.require_zero_level()
-        if not an.singular_is_zero:
-            raise NotApplicable("needs a trivial singular subdifferential")
-        bcq, _, _ = check_clarke_bcq(an)
-        d = endset_distance(an, MODE_CLARKE)
-        for tau in _tau_grid([Fraction(0) if d is INF else (1 / d if d > 0 else INF)]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _rhs_endset(bcq, d, tau):
-                return False
-        return True
-    run("thm3.6", thm_3_6)
-
-    def cor_3_4():
-        an.require_boundary()
-        an.require_zero_level()
-        if an.clarke.set.is_empty or an.clarke.set.subset_of(an.normal_clarke) is not True:
-            raise NotApplicable("needs the subdifferential inside the normal cone")
-        bcq, _, _ = check_extended_bcq(an)
-        d_sub = an.clarke_subdiff_distance
-        for tau in _tau_grid([Fraction(0) if d_sub is INF else (1 / d_sub if d_sub > 0 else INF)]):
-            holds, _ = check_strong_bcq(an, tau, MODE_EXTENDED)
-            if holds != _rhs_endset(bcq, d_sub, tau):
-                return False
-        return True
-    run("cor3.4", cor_3_4)
-
-    def cor_3_5():
-        an.require_boundary()
-        an.require_zero_level()
-        if not an.singular_is_zero:
-            raise NotApplicable("needs a trivial singular subdifferential")
-        if an.clarke.set.subset_of(an.normal_clarke) is not True:
-            raise NotApplicable("needs the subdifferential inside the normal cone")
-        bcq, _, _ = check_clarke_bcq(an)
-        d_sub = an.clarke_subdiff_distance
-        for tau in _tau_grid([]):
-            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
-            if holds != _rhs_endset(bcq, d_sub, tau):
-                return False
-        return True
-    run("cor3.5", cor_3_5)
-
-    def prop_4_1():
-        an.require_boundary()
-        an.require_bounded_frechet()
-        sub = an.frechet.set
-        if sub.is_empty:
-            raise NotApplicable("empty Frechet subdifferential")
-        point0 = HPolyhedron.single_point(zeros(an.f.dim))
-        for r in (Fraction(1), Fraction(2)):
-            closure = segment_hull(sub, r)
-            raw = _scaled_sum_projection(sub, point0, r)
-            if not closure.set_eq(raw):
-                return False
-        return True
-    run("prop4.1", prop_4_1)
-
-    def thm_4_1():
-        an.require_boundary()
-        an.require_zero_level()
-        an.require_bounded_frechet()
-        bcq, _, _ = check_frechet_bcq(an)
-        d = endset_distance(an, MODE_FRECHET)
-        tau_e, _ = best_tau_endset(an, MODE_FRECHET)
-        for tau in _tau_grid([tau_e]):
-            holds, _ = check_strong_bcq(an, tau, MODE_FRECHET)
-            if holds != _rhs_endset(bcq, d, tau):
-                return False
-        return True
-    run("thm4.1", thm_4_1)
-
-    def cor_4_1():
-        an.require_boundary()
-        an.require_lipschitz()
-        assert an.phi_value == 0, "continuous boundary points sit on the zero level"
-        return thm_4_1()
-    run("cor4.1", cor_4_1)
-
-    def prop_4_2():
-        an.require_boundary()
-        an.require_bounded_frechet()
-        bcq, _, _ = check_frechet_bcq(an)
-        lhs = HPolyhedron(an.f.dim,
-                          [(g, Fraction(0)) for g in an.frechet.vertices()]).canonical()
-        rhs = an.tangent_contingent.body.convex_hull().canonical()
-        eq48 = lhs.set_eq(rhs)
-        if bcq and not eq48:
-            return False
-        if not an.frechet.set.contains(zeros(an.f.dim)) and bcq != eq48:
-            return False
-        return True
-    run("prop4.2", prop_4_2)
-
-    def prop_4_3():
-        an.require_boundary()
-        an.require_zero_level()
-        an.require_bounded_frechet()
-        W = an.frechet_ball_slice
-        G = an.frechet.vertices()
-        tau_d, _ = best_tau_directional(an, MODE_FRECHET)
-        for tau in _tau_grid([tau_d]):
-            holds, _ = check_strong_bcq(an, tau, MODE_FRECHET)
-            if holds != _dirwise_strong_holds(W, G, tau, an.f.dim):
-                return False
-        return True
-    run("prop4.3", prop_4_3)
-
+            results[row.name] = "pass" if _holds(an, row) else "fail"
+        except (NotApplicable, NotLipschitz):
+            results[row.name] = "not-applicable"
     return results
 
 
@@ -937,28 +866,17 @@ def analyze(f: PLFunction, x, norm: NormSpec = NormSpec("linf")) -> CQReport:
         rep.frechet_bcq, _, fl = r
         flags |= fl
 
-    r = attempt(best_tau_endset, MODE_CLARKE)
-    if r is not None:
-        rep.clarke_strong_bcq_tau, fl = r
-        flags |= fl
-    r = attempt(best_tau_endset, MODE_EXTENDED)
-    if r is not None:
-        rep.extended_strong_bcq_tau, fl = r
-        flags |= fl
-    r = attempt(best_tau_endset, MODE_FRECHET)
-    if r is not None:
-        rep.frechet_strong_bcq_tau, fl = r
-        flags |= fl
+    for mode in (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET):
+        r = attempt(best_tau_endset, mode)
+        if r is not None:
+            setattr(rep, mode + "_strong_bcq_tau", r[0])
+            flags |= r[1]
 
     if an.in_solution_set and an.on_boundary:
         rep.endset_distance_clarke = endset_distance(an, MODE_CLARKE)
         rep.endset_distance_frechet = endset_distance(an, MODE_FRECHET)
-    r = attempt(lambda a: error_bound_modulus(a))
-    if r is not None:
-        rep.error_bound_modulus = r
-    r = attempt(lambda a: check_subdiff_in_normal(a))
-    if r is not None:
-        rep.subdiff_in_normal = r
+    rep.error_bound_modulus = attempt(error_bound_modulus)
+    rep.subdiff_in_normal = attempt(check_subdiff_in_normal)
     if an.lipschitz:
         rep.regular_at_point = an.regular
     rep.theorem_checks = verify_theorems(an)

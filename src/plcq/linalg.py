@@ -27,10 +27,6 @@ def vec(*xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def as_vec(xs) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
 def zeros(n: int) -> Vec:
     return (Fraction(0),) * n
 

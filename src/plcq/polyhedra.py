@@ -157,10 +157,6 @@ class HPolyhedron:
     def empty(dim: int) -> HPolyhedron:
         return HPolyhedron(dim, rows=[(zeros(dim), Fraction(-1))])
 
-    @staticmethod
-    def from_generators(vertices=(), rays=(), lines=(), dim=None) -> HPolyhedron:
-        return hull(vertices, rays, lines, dim)
-
     # -- V-representation ----------------------------------------------------
 
     def generators(self) -> VRep:
@@ -425,11 +421,6 @@ def hull(points, rays=(), lines=(), dim=None) -> HPolyhedron:
         if not is_zero(a):
             eqs.append((a, -beta))
     return HPolyhedron(dim, rows, eqs).canonical()
-
-
-def convex_hull(points, rays=()) -> HPolyhedron:
-    """Spec-facing alias: conv(points) + cone(rays)."""
-    return hull(points, rays)
 
 
 def minkowski_sum(A: HPolyhedron, B: HPolyhedron) -> HPolyhedron:

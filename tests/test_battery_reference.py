@@ -1,0 +1,484 @@
+"""The theorem battery against its grid-sampled predecessor.
+
+`grid_verify_theorems` below is the battery as it stood before the identity
+table: 18 closures that sample each strong-BCQ identity on a tau grid around
+the known thresholds, with the per-tau direction-wise test
+`_dirwise_strong_holds`.  It is kept verbatim as the reference; the table
+decides the same identities exactly at a few probe points, and the result
+dicts must agree.  The edge cases below pin down the closed-form thresholds
+and the probe comparison on their own.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import plcq
+from plcq import cq
+from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis, NotApplicable,
+                     _dirwise_tau, _endset_tau, _holds, _Identity, _probes,
+                     _refined_cells, _scaled_sum_projection, best_tau_directional,
+                     best_tau_endset, check_clarke_bcq, check_extended_bcq,
+                     check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
+                     check_tangent_inclusion, endset_distance, error_bound_modulus,
+                     verify_prop32, verify_theorems)
+from plcq.instances import generate_corpus
+from plcq.linalg import INF, Vec, dot, vec, zeros
+from plcq.plfunc import PLFunction, atom, vmax, vmin
+from plcq.polyhedra import HPolyhedron, segment_hull
+from plcq.subdiff import NotLipschitz
+
+F = Fraction
+_GRID = Fraction(1, 1024)  # tightness certification grid 1 - 1/1024
+
+
+# ---------------------------------------------------------------------------
+# reference: the grid-sampled battery, verbatim
+# ---------------------------------------------------------------------------
+
+def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
+    """Does d(h,T) <= tau * max{0, phi-support(h)} hold for all h?  Evaluated
+    exactly on the generators of every full-dimensional refined cone."""
+    tau = Fraction(tau)
+    for u, w, C in _refined_cells(W, G, dim):
+        v = C.generators()
+        for r in v.rays:
+            if dot(w, r) > tau * dot(u, r):
+                return False
+        for l in v.lines:
+            if dot(w, l) != tau * dot(u, l):
+                return False
+    return True
+
+
+def _tau_grid(taus) -> list[Fraction]:
+    grid = {Fraction(1, 1024), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(1024)}
+    for t in taus:
+        if t is not INF and t > 0:
+            grid |= {t, t * (1 - _GRID), t * (1 + _GRID)}
+    return sorted(grid)
+
+
+def _rhs_endset(bcq: bool, d, tau: Fraction) -> bool:
+    return bcq and (d is INF or d >= 1 / tau)
+
+
+def grid_verify_theorems(an: Analysis) -> dict:
+    """Each paper identity evaluated from independent routes; values are
+    'pass', 'fail' or 'not-applicable'."""
+    results: dict[str, str] = {}
+
+    def run(name, fn):
+        try:
+            results[name] = "pass" if fn() else "fail"
+        except (NotApplicable, NotLipschitz) as e:
+            results[name] = "not-applicable"
+
+    def clarke_setup():
+        an.require_boundary()
+        an.require_lipschitz()
+        bcq, _, _ = check_clarke_bcq(an)
+        d = endset_distance(an, MODE_CLARKE)
+        tau_d, _ = best_tau_directional(an, MODE_CLARKE)
+        tau_e, fl = best_tau_endset(an, MODE_CLARKE)
+        return bcq, d, tau_d, tau_e
+
+    def thm_3_1():
+        bcq, d, tau_d, tau_e = clarke_setup()
+        if bcq and not (tau_d == tau_e or (tau_d is INF and tau_e is INF)):
+            return False
+        for tau in _tau_grid([tau_d, tau_e]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _rhs_endset(bcq, d, tau):
+                return False
+        return True
+    run("thm3.1", thm_3_1)
+
+    def cor_3_1():
+        bcq, d, tau_d, tau_e = clarke_setup()
+        if an.clarke.set.subset_of(an.normal_clarke) is not True:
+            raise NotApplicable("needs the subdifferential inside the normal cone")
+        d_sub = an.clarke_subdiff_distance
+        if d != d_sub:
+            return False
+        for tau in _tau_grid([tau_d]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _rhs_endset(bcq, d_sub, tau):
+                return False
+        return True
+    run("cor3.1", cor_3_1)
+
+    def prop_3_1():
+        check_subdiff_in_normal(an)  # raises on mismatch of the two sides
+        return True
+    run("prop3.1", prop_3_1)
+
+    def thm_3_2():
+        check_tangent_inclusion(an)  # raises when either direction fails
+        return True
+    run("thm3.2", thm_3_2)
+
+    def thm_3_3():
+        an.require_boundary()
+        an.require_lipschitz()
+        W = an.clarke_ball_slice
+        G = an.clarke.vertices()
+        tau_d, _ = best_tau_directional(an, MODE_CLARKE)
+        for tau in _tau_grid([tau_d]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _dirwise_strong_holds(W, G, tau, an.f.dim):
+                return False
+        return True
+    run("thm3.3", thm_3_3)
+
+    def thm_3_4():
+        an.require_boundary()
+        an.require_lipschitz()
+        bcq, _, _ = check_clarke_bcq(an)
+        eb = error_bound_modulus(an)
+        incl = an.clarke.set.subset_of(an.normal_clarke) is True
+        for tau in _tau_grid([eb]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            rhs = bcq and eb is not INF and eb <= tau
+            if rhs and not holds:
+                return False
+            if incl and holds != rhs:
+                return False
+        return True
+    run("thm3.4", thm_3_4)
+
+    def cor_3_2():
+        an.require_boundary()
+        an.require_lipschitz()
+        if not an.regular:
+            raise NotApplicable("needs a regular point")
+        bcq, _, _ = check_clarke_bcq(an)
+        d_sub = an.clarke_subdiff_distance
+        tau_e, _ = best_tau_endset(an, MODE_CLARKE)
+        for tau in _tau_grid([tau_e]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _rhs_endset(bcq, d_sub, tau):
+                return False
+        return True
+    run("cor3.2", cor_3_2)
+
+    def cor_3_3():
+        an.require_boundary()
+        an.require_lipschitz()
+        if not an.regular:
+            raise NotApplicable("needs a regular point")
+        bcq, _, _ = check_clarke_bcq(an)
+        eb = error_bound_modulus(an)
+        for tau in _tau_grid([eb]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            rhs = bcq and eb is not INF and eb <= tau
+            if holds != rhs:
+                return False
+        return True
+    run("cor3.3", cor_3_3)
+
+    def prop_3_2():
+        if an.clarke.set.is_empty:
+            raise NotApplicable("empty Clarke subdifferential")
+        for r in (Fraction(1), Fraction(1, 2), Fraction(3)):
+            res = verify_prop32(an, r)
+            if not all(res.values()):
+                return False
+        return True
+    run("prop3.2", prop_3_2)
+
+    def thm_3_5():
+        an.require_boundary()
+        an.require_zero_level()
+        bcq, _, _ = check_extended_bcq(an)
+        d = endset_distance(an, MODE_EXTENDED)
+        tau_e, _ = best_tau_endset(an, MODE_EXTENDED)
+        for tau in _tau_grid([tau_e]):
+            holds, _ = check_strong_bcq(an, tau, MODE_EXTENDED)
+            if holds != _rhs_endset(bcq, d, tau):
+                return False
+        return True
+    run("thm3.5", thm_3_5)
+
+    def thm_3_6():
+        an.require_boundary()
+        an.require_zero_level()
+        if not an.singular_is_zero:
+            raise NotApplicable("needs a trivial singular subdifferential")
+        bcq, _, _ = check_clarke_bcq(an)
+        d = endset_distance(an, MODE_CLARKE)
+        for tau in _tau_grid([Fraction(0) if d is INF else (1 / d if d > 0 else INF)]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _rhs_endset(bcq, d, tau):
+                return False
+        return True
+    run("thm3.6", thm_3_6)
+
+    def cor_3_4():
+        an.require_boundary()
+        an.require_zero_level()
+        if an.clarke.set.is_empty or an.clarke.set.subset_of(an.normal_clarke) is not True:
+            raise NotApplicable("needs the subdifferential inside the normal cone")
+        bcq, _, _ = check_extended_bcq(an)
+        d_sub = an.clarke_subdiff_distance
+        for tau in _tau_grid([Fraction(0) if d_sub is INF else (1 / d_sub if d_sub > 0 else INF)]):
+            holds, _ = check_strong_bcq(an, tau, MODE_EXTENDED)
+            if holds != _rhs_endset(bcq, d_sub, tau):
+                return False
+        return True
+    run("cor3.4", cor_3_4)
+
+    def cor_3_5():
+        an.require_boundary()
+        an.require_zero_level()
+        if not an.singular_is_zero:
+            raise NotApplicable("needs a trivial singular subdifferential")
+        if an.clarke.set.subset_of(an.normal_clarke) is not True:
+            raise NotApplicable("needs the subdifferential inside the normal cone")
+        bcq, _, _ = check_clarke_bcq(an)
+        d_sub = an.clarke_subdiff_distance
+        for tau in _tau_grid([]):
+            holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
+            if holds != _rhs_endset(bcq, d_sub, tau):
+                return False
+        return True
+    run("cor3.5", cor_3_5)
+
+    def prop_4_1():
+        an.require_boundary()
+        an.require_bounded_frechet()
+        sub = an.frechet.set
+        if sub.is_empty:
+            raise NotApplicable("empty Frechet subdifferential")
+        point0 = HPolyhedron.single_point(zeros(an.f.dim))
+        for r in (Fraction(1), Fraction(2)):
+            closure = segment_hull(sub, r)
+            raw = _scaled_sum_projection(sub, point0, r)
+            if not closure.set_eq(raw):
+                return False
+        return True
+    run("prop4.1", prop_4_1)
+
+    def thm_4_1():
+        an.require_boundary()
+        an.require_zero_level()
+        an.require_bounded_frechet()
+        bcq, _, _ = check_frechet_bcq(an)
+        d = endset_distance(an, MODE_FRECHET)
+        tau_e, _ = best_tau_endset(an, MODE_FRECHET)
+        for tau in _tau_grid([tau_e]):
+            holds, _ = check_strong_bcq(an, tau, MODE_FRECHET)
+            if holds != _rhs_endset(bcq, d, tau):
+                return False
+        return True
+    run("thm4.1", thm_4_1)
+
+    def cor_4_1():
+        an.require_boundary()
+        an.require_lipschitz()
+        assert an.phi_value == 0, "continuous boundary points sit on the zero level"
+        return thm_4_1()
+    run("cor4.1", cor_4_1)
+
+    def prop_4_2():
+        an.require_boundary()
+        an.require_bounded_frechet()
+        bcq, _, _ = check_frechet_bcq(an)
+        lhs = HPolyhedron(an.f.dim,
+                          [(g, Fraction(0)) for g in an.frechet.vertices()]).canonical()
+        rhs = an.tangent_contingent.body.convex_hull().canonical()
+        eq48 = lhs.set_eq(rhs)
+        if bcq and not eq48:
+            return False
+        if not an.frechet.set.contains(zeros(an.f.dim)) and bcq != eq48:
+            return False
+        return True
+    run("prop4.2", prop_4_2)
+
+    def prop_4_3():
+        an.require_boundary()
+        an.require_zero_level()
+        an.require_bounded_frechet()
+        W = an.frechet_ball_slice
+        G = an.frechet.vertices()
+        tau_d, _ = best_tau_directional(an, MODE_FRECHET)
+        for tau in _tau_grid([tau_d]):
+            holds, _ = check_strong_bcq(an, tau, MODE_FRECHET)
+            if holds != _dirwise_strong_holds(W, G, tau, an.f.dim):
+                return False
+        return True
+    run("prop4.3", prop_4_3)
+
+    return results
+
+
+# ---------------------------------------------------------------------------
+# the table against the reference
+# ---------------------------------------------------------------------------
+
+def _named():
+    yield PLFunction(vmin(atom([-1]), atom([1]))), vec(0)         # -|x|
+    yield PLFunction(vmax(atom([1]), atom([-1]))), vec(0)         # |x|
+    yield PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0)   # kink
+    dom = HPolyhedron(1, rows=[(vec(1), F(0))])
+    yield PLFunction(atom([1]), domain=dom), vec(0)
+
+
+def _corpus():
+    yield from _named()
+    for inst in (generate_corpus(10, 1, seed=41, max_atoms=6)
+                 + generate_corpus(6, 2, seed=42, max_atoms=5)
+                 + generate_corpus(3, 3, seed=43, max_atoms=4)
+                 + generate_corpus(8, 1, seed=44, extended=True, max_atoms=5)
+                 + generate_corpus(4, 2, seed=45, extended=True, max_atoms=4)
+                 + generate_corpus(2, 3, seed=46, extended=True, max_atoms=4)):
+        for p in inst.basepoints:
+            yield inst.f, p
+
+
+def test_table_matches_grid_reference():
+    seen: dict[str, set] = {}
+    for f, p in _corpus():
+        table = verify_theorems(Analysis(f, p))
+        grid = grid_verify_theorems(Analysis(f, p))
+        assert table == grid, (f, p)
+        assert list(table) == list(grid)
+        for name, verdict in table.items():
+            seen.setdefault(name, set()).add(verdict)
+    # every identity is decided somewhere, not only skipped
+    assert all("pass" in v for v in seen.values()), seen
+
+
+_SMALL_BATTERY_SCRIPT = """
+import json, sys
+from plcq.cq import Analysis, verify_theorems
+from plcq.instances import generate_corpus
+
+
+def run():
+    out = []
+    for inst in (generate_corpus(4, 1, seed=51, max_atoms=5)
+                 + generate_corpus(2, 2, seed=52, max_atoms=4)
+                 + generate_corpus(4, 1, seed=53, extended=True, max_atoms=4)
+                 + generate_corpus(2, 2, seed=54, extended=True, max_atoms=4)):
+        for p in inst.basepoints:
+            out.append(verify_theorems(Analysis(inst.f, p)))
+    return out
+
+
+if __name__ == "__main__":
+    if not sys.flags.optimize:
+        sys.exit("not running under python -O")
+    print(json.dumps(run()))
+"""
+
+
+def test_battery_same_under_optimize():
+    # python -O strips assert statements; the battery's self-checks must not
+    # depend on them, and its verdicts must not change
+    src = str(Path(plcq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _SMALL_BATTERY_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    scope = {"__name__": "in_process"}
+    exec(_SMALL_BATTERY_SCRIPT, scope)
+    expected = scope["run"]()
+    assert len(expected) >= 8
+    assert json.loads(out.stdout) == expected
+
+
+# ---------------------------------------------------------------------------
+# closed-form thresholds and the probe comparison
+# ---------------------------------------------------------------------------
+
+def test_endset_thresholds():
+    assert _endset_tau(False, F(1, 2)) is INF      # BCQ fails
+    assert _endset_tau(False, INF) is INF
+    assert _endset_tau(True, F(0)) is INF          # d = 0: no tau works
+    assert _endset_tau(True, INF) == 0             # d = INF: every tau works
+    assert _endset_tau(True, F(1, 2)) == 2
+
+
+def test_probes_separate_distinct_thresholds():
+    assert _probes(F(0), INF) == [1]
+    assert _probes(F(0), F(0)) == [1]
+    assert _probes(F(2), F(0)) == [2, 1]
+    assert _probes(F(2), F(3)) == [2, 3, 1]
+    assert _probes(INF, F(1, 2)) == [F(1, 2), F(1, 4)]
+
+
+def _row(t_r, exact=True):
+    return _Identity("row", (), MODE_CLARKE, lambda an, mode: t_r,
+                     exact=lambda an: exact)
+
+
+_VALUES = (F(0), F(1, 3), F(1), F(2), INF)
+
+
+@pytest.mark.parametrize("t_s", _VALUES)
+def test_probe_comparison_is_exact(t_s):
+    an = Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0))
+    an._strong_thresholds[MODE_CLARKE] = ((vec(1), t_s),)
+    for t_r in _VALUES:
+        assert _holds(an, _row(t_r)) == (t_s == t_r), t_r
+        # thm3.4's one-sided form: the right side implies the left
+        assert _holds(an, _row(t_r, exact=False)) == (t_s <= t_r), t_r
+
+
+def test_empty_vertex_table_reads_as_zero():
+    an = Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0))
+    an._strong_thresholds[MODE_CLARKE] = ()
+    assert check_strong_bcq(an, F(1, 1024), MODE_CLARKE) == (True, None)
+    assert _holds(an, _row(F(0)))
+    assert not _holds(an, _row(F(1, 1024)))
+    assert not _holds(an, _row(INF))
+
+
+def test_dirwise_tau_cases():
+    # the kink max(-x, x/2): d(h, T) = max(0, h) against max(0, h/2, -h)
+    assert _dirwise_tau([vec(0), vec(1)], [vec(-1), vec(F(1, 2))], 1) == 2
+    # a u = 0 cell where the distance stays positive: no finite tau
+    assert _dirwise_tau([vec(0), vec(1)], [vec(-1)], 1) is INF
+    # a line with w.l != 0 inside a u = 0 cell: no finite tau
+    assert _dirwise_tau([vec(1)], [], 1) is INF
+    # the distance vanishes wherever the derivative does: every tau works
+    assert _dirwise_tau([vec(0), vec(1)], [vec(1)], 1) == 1
+    assert _dirwise_tau([vec(0)], [vec(1)], 1) == 0
+    # in 2-d the cells carry lines with u.l = w.l = 0
+    assert _dirwise_tau([vec(0, 0), vec(1, 0)], [vec(1, 0)], 2) == 1
+    for tau in (F(1, 2), F(1), F(2), F(3)):
+        assert cq._dirwise_strong_holds([vec(0), vec(1)], [vec(-1), vec(F(1, 2))], tau, 1) \
+            == _dirwise_strong_holds([vec(0), vec(1)], [vec(-1), vec(F(1, 2))], tau, 1)
+
+
+def test_dirwise_tau_rejects_cells_with_negative_derivative(monkeypatch):
+    half = HPolyhedron(1, rows=[(vec(1), F(0))])          # h <= 0: ray -1
+    monkeypatch.setattr(cq, "_refined_cells", lambda W, G, dim: iter([(vec(1), vec(0), half)]))
+    with pytest.raises(RuntimeError, match="u.r < 0"):
+        _dirwise_tau([vec(0)], [vec(1)], 1)
+    whole = HPolyhedron(1)                                 # R: line 1
+    monkeypatch.setattr(cq, "_refined_cells", lambda W, G, dim: iter([(vec(1), vec(0), whole)]))
+    with pytest.raises(RuntimeError, match="u.l != 0"):
+        _dirwise_tau([vec(0)], [vec(1)], 1)
+
+
+def test_extra_checks_fail_their_rows():
+    # the kink passes every row; each corrupted route below leaves the
+    # threshold comparison of the row intact, so only the row's extra check
+    # can fail it
+    def kink():
+        return Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0))
+    assert set(verify_theorems(kink()).values()) <= {"pass", "not-applicable"}
+    an = kink()
+    an._directional_taus[MODE_CLARKE] = (F(3), frozenset())  # tau_d != tau_e = 2
+    assert verify_theorems(an)["thm3.1"] == "fail"
+    an = kink()
+    an._endset_distances[MODE_CLARKE] = F(1, 3)  # d != d_sub = 1/2
+    assert verify_theorems(an)["cor3.1"] == "fail"

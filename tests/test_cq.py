@@ -6,7 +6,7 @@ import pytest
 from plcq import simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
                      FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _ball_slice_vertices,
-                     _in_scaled_sum, _scaled_sum_threshold, _tau_grid, analyze,
+                     _in_scaled_sum, _scaled_sum_threshold, analyze,
                      best_tau_directional, best_tau_endset, check_clarke_bcq,
                      check_extended_bcq,
                      check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
@@ -16,6 +16,8 @@ from plcq.instances import generate_corpus
 from plcq.linalg import INF, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
 from plcq.polyhedra import HPolyhedron
+
+from test_battery_reference import _tau_grid
 
 F = Fraction
 
@@ -281,6 +283,25 @@ def test_frechet_bcq_convention_flag():
     holds2, _, flags2 = check_frechet_bcq(an2)
     assert holds2 and FLAG_CONVENTION in flags2
     assert an2.normal_frechet.set_eq(HPolyhedron.single_point(zeros(2)))
+
+
+def test_self_checks_raise():
+    # each check guards a fact of the mathematics: with one cached object
+    # corrupted it must raise, also where asserts would be stripped
+    an = domain_instance()  # Clarke subdifferential [1, oo), singular cone [0, oo)
+    an.__dict__["singular"] = SimpleNamespace(set=HPolyhedron.single_point(zeros(1)))
+    with pytest.raises(RuntimeError, match="singular cone"):
+        check_extended_bcq(an)
+    with pytest.raises(RuntimeError, match="singular cone"):
+        verify_prop32(an, 1)
+    an = kink_at_zero()  # Frechet subdifferential [-1, 1/2], N^ = R
+    an.__dict__["normal_frechet"] = HPolyhedron(1, rows=[(vec(-1), F(0))])
+    with pytest.raises(RuntimeError, match="Frechet normals"):
+        check_frechet_bcq(an)
+    an = abs_at_zero()
+    an.phi_value = F(1)
+    with pytest.raises(RuntimeError, match="zero level"):
+        verify_theorems(an)
 
 
 def test_theorem_battery_passes_on_named_instances():
