@@ -124,7 +124,8 @@ def face_atlas(A: UnionPolyhedron, a: Vec,
         for K, (rws, eqz) in zip(kpieces, piece_rows):
             if all(flip * signs[i] <= 0 for i, flip in rws) and all(signs[i] == 0 for i in eqz):
                 eligible.append((K, rws, eqz))
-        assert eligible, "sign class outside every local cone"
+        if not eligible:
+            raise RuntimeError("sign class outside every local cone")
         tangent_pieces = []
         for K, rws, eqz in eligible:
             rows = [K.rows[j] for j, (i, _) in enumerate(rws) if signs[i] == 0]

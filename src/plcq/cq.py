@@ -196,7 +196,7 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
-# membership in scaled sums [0,tau]C + K (exact, including non-closed cases)
+# scaled sums [0,tau]C + K through the lifted (z, t, k) system
 # ---------------------------------------------------------------------------
 
 def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
@@ -219,20 +219,6 @@ def _lifted_system(z: Vec, C: HPolyhedron, K: HPolyhedron):
     rows, eqs = _lifted_rows(C, K)
     return ([(a, b if za is None else b - dot(za, z)) for za, a, b in rows],
             [(e, d if ze is None else d - dot(ze, z)) for ze, e, d in eqs])
-
-
-def _in_scaled_sum(z: Vec, C: HPolyhedron, K: HPolyhedron, r, include_zero=True) -> bool:
-    """z in (0,r]C + K, or [0,r]C + K when include_zero (then t=0 contributes
-    exactly K, since [0,r]C contains 0)."""
-    if C.is_empty:
-        return include_zero and K.contains(z)
-    if include_zero and K.contains(z):
-        return True
-    rows, eqs = _lifted_system(z, C, K)
-    rows.append(((Fraction(1),) + zeros(C.dim), Fraction(r)))
-    obj = (Fraction(1),) + zeros(C.dim)
-    res = simplex.lp_solve(obj, rows, eqs, sense="max")
-    return res.status == simplex.OPTIMAL and res.value > 0
 
 
 def _scaled_sum_threshold(z: Vec, C: HPolyhedron, K: HPolyhedron):
@@ -313,7 +299,9 @@ def check_frechet_bcq(an: Analysis):
     """N^(S, x) == [0,+oo) * Frechet subdifferential (set equality)."""
     an.require_boundary()
     sub, Nf = an.frechet.set, an.normal_frechet
-    if not sub.is_empty and sub.subset_of(Nf) is not True:
+    # on the zero level f(x + h) <= 0 makes every Frechet subgradient a
+    # Frechet normal of S; below it the inclusion need not hold
+    if an.phi_value == 0 and not sub.is_empty and sub.subset_of(Nf) is not True:
         raise RuntimeError("Frechet subgradients must be Frechet normals")
     return _cone_bcq(Nf, sub)
 
@@ -534,7 +522,9 @@ def check_subdiff_in_normal(an: Analysis) -> bool:
     rhs = an.tangent_clarke.body.subset_of(an.sublevel_cone) is True
     if lhs != rhs:
         raise RuntimeError("subdifferential/tangent-cone duality failed")
-    if an.regular and not lhs:
+    # regularity puts @c f(x) inside N_c(S, x) only on the zero level, where
+    # x* . h <= f'(x; h) <= 0 on T_c(S, x); below it N_c(S, x) can be {0}
+    if an.phi_value == 0 and an.regular and not lhs:
         raise RuntimeError("regular point must have its subdifferential in the normal cone")
     return lhs
 
@@ -567,25 +557,52 @@ def error_bound_modulus(an: Analysis):
     return an._error_bound_modulus
 
 
-def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
-    """[0,r]C + K as a projection of {(z,t,k) : z-k in tC, k in K, 0<=t<=r},
-    valid whenever rec(C) is contained in K (checked by callers)."""
+def _lifted_cone(C: HPolyhedron, K: HPolyhedron) -> HPolyhedron:
+    """{(z, t, k) : z - k in tC, k in K, t >= 0} in R^(2n+1), read at t = 0
+    as z - k in rec(C)."""
     n = C.dim
     rows, eqs = (
         [((zeros(n) if za is None else za) + a, b) for za, a, b in block]
         for block in _lifted_rows(C, K))
-    rows.append((zeros(n) + (Fraction(1),) + zeros(n), Fraction(r)))
-    lifted = HPolyhedron(2 * n + 1, rows, eqs)
-    return lifted.project(tuple(range(n))).canonical()
+    return HPolyhedron(2 * n + 1, rows, eqs)
+
+
+def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
+    """[0,r]C + K as the z-projection of the lifted polyhedron capped at
+    t <= r, valid whenever rec(C) is contained in K (checked by callers)."""
+    n = C.dim
+    lifted = _lifted_cone(C, K)
+    cap = HPolyhedron(lifted.dim, [(zeros(n) + (Fraction(1),) + zeros(n), Fraction(r))])
+    return lifted.intersect(cap).project(tuple(range(n))).canonical()
+
+
+def _half_open_sums_agree(C: HPolyhedron, K: HPolyhedron) -> bool:
+    """(0,r]C + K == (0,r]C for every r > 0, for nonempty C.
+
+    The projections onto (z, t) of the lifted polyhedra for K and for {0}
+    are the closures of their t > 0 parts, whose slices at t are tC + K and
+    tC, so they are equal iff tC + K = tC for every t > 0.  That gives the
+    identity at every r; conversely the identity puts c + lambda k in
+    (0,r]C for all lambda >= 0, which forces k into rec(C) and so
+    tC + K = tC.  No LP is solved."""
+    keep = tuple(range(C.dim + 1))
+    point0 = HPolyhedron.single_point(zeros(C.dim))
+    return _lifted_cone(C, K).project(keep).set_eq(_lifted_cone(C, point0).project(keep))
 
 
 def verify_prop32(an: Analysis, r) -> dict:
-    """The four subdifferential/singular-cone identities at scale r > 0:
-    (i) @c + r @c^inf = @c, (ii) (0,r]@c + @c^inf = (0,r]@c,
-    (iii) @c^inf inside cl((0,r]@c), (iv) cl([0,r]@c) = [0,r]@c + @c^inf.
-    Closed identities are polyhedral equalities between two independently
-    built sets; the half-open (ii) adds exact scaled-membership bookkeeping
-    on a deterministic point battery."""
+    """The four subdifferential/singular-cone identities at scale r > 0, for
+    C = @c f(x) and K = @c^inf f(x): (i) C + rK = C, (ii) (0,r]C + K =
+    (0,r]C, (iii) K inside cl((0,r]C), (iv) cl([0,r]C) = [0,r]C + K.
+
+    Scaling lemma: K is a cone, so rK = K and tC + K = t(C + K) for t > 0.
+    Hence (0,r]C + K = r((0,1]C + K), cl([0,r]C) = r cl([0,1]C),
+    [0,r]C + K = r([0,1]C + K), and K inside rX iff K inside X: each
+    identity holds at r iff it holds at r = 1, so one scale decides every
+    scale.  (i), (iii) and (iv) are polyhedral equalities or inclusions
+    between independently built sets at the given r; the half-open (ii) is
+    decided exactly by comparing two lifted cones (_half_open_sums_agree),
+    which needs no r at all."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale must be positive")
@@ -599,27 +616,8 @@ def verify_prop32(an: Analysis, r) -> dict:
     out["i"] = minkowski_sum(sub, sing).set_eq(sub)
     closure = segment_hull(sub, r)
     out["iii"] = sing.subset_of(closure) is True
-    projected = _scaled_sum_projection(sub, sing, r)
-    out["iv"] = closure.set_eq(projected)
-
-    battery = [zeros(an.f.dim)]
-    battery += list(closure.generators().vertices)
-    battery += [g for g in closure.generators().rays]
-    vs = sub.generators()
-    battery += [scale_point for p in vs.vertices
-                for scale_point in (tuple(q * r for q in p), tuple(q * r / 2 for q in p))]
-    battery += list(sing.generators().rays)
-    for p in list(battery):
-        for k in sing.generators().rays:
-            battery.append(tuple(a + b for a, b in zip(p, k)))
-    ok = True
-    for z in battery:
-        lhs = _in_scaled_sum(z, sub, sing, r, include_zero=False)
-        rhs = in_scaled_set(z, sub, r, include_zero=False)
-        if lhs != rhs:
-            ok = False
-            break
-    out["ii"] = ok
+    out["iv"] = closure.set_eq(_scaled_sum_projection(sub, sing, r))
+    out["ii"] = _half_open_sums_agree(sub, sing)
     return out
 
 
@@ -698,17 +696,18 @@ def _thm32(an: Analysis) -> bool:
 
 
 def _prop32(an: Analysis) -> bool:
-    return all(all(verify_prop32(an, r).values())
-               for r in (Fraction(1), Fraction(1, 2), Fraction(3)))
+    # one scale decides every scale (the lemma in verify_prop32)
+    return all(verify_prop32(an, Fraction(1)).values())
 
 
 def _prop41(an: Analysis) -> bool:
+    """cl([0,1]C) = [0,1]C for the Frechet subdifferential C; by the scaling
+    lemma with K = {0} this decides every scale r > 0."""
     sub = an.frechet.set
     if sub.is_empty:
         raise NotApplicable("empty Frechet subdifferential")
     point0 = HPolyhedron.single_point(zeros(an.f.dim))
-    return all(segment_hull(sub, r).set_eq(_scaled_sum_projection(sub, point0, r))
-               for r in (Fraction(1), Fraction(2)))
+    return segment_hull(sub, 1).set_eq(_scaled_sum_projection(sub, point0, 1))
 
 
 def _prop42(an: Analysis) -> bool:

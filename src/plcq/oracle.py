@@ -118,7 +118,8 @@ def sample_frechet_subgradient_check(f: PLFunction, x, xs,
     xf = _float_vec(x)
     xsf = _float_vec(xs)
     fx = f.value_float(xf)
-    assert fx != INF
+    if fx == INF:
+        raise ValueError("Frechet subgradient check needs a basepoint in dom f")
     tail = plan.radii[len(plan.radii) // 2:]
     bad_radii = 0
     for r in tail:

@@ -262,9 +262,6 @@ class PLFunction:
             cells.append((region, g, fx - dot(g, x)))
         return CellComplex(cells=cells, anchor=x)
 
-    def gradients_at(self, x: Vec) -> list[Vec]:
-        return [g for _, g, _ in self.local_cells(x).cells]
-
     def __repr__(self):
         dom = "" if self.domain is None else ", with domain"
         return "PLFunction(dim=%d, %d atoms%s)" % (self.dim, len(self.atoms()), dom)

@@ -244,19 +244,6 @@ class HPolyhedron:
                            [(a, b + dot(a, v)) for a, b in self.rows],
                            [(e, d + dot(e, v)) for e, d in self.eqs])
 
-    def scale_set(self, t) -> HPolyhedron:
-        """t*self for t >= 0 (0*C = {0} for nonempty C)."""
-        t = Fraction(t)
-        if t < 0:
-            raise ValueError("nonnegative scaling only")
-        if self.is_empty:
-            return self
-        if t == 0:
-            return HPolyhedron.single_point(zeros(self.dim))
-        return HPolyhedron(self.dim,
-                           [(a, t * b) for a, b in self.rows],
-                           [(e, t * d) for e, d in self.eqs])
-
     def recession(self) -> HPolyhedron:
         if self.is_empty:
             raise ValueError("recession cone of the empty set")
@@ -345,7 +332,8 @@ class HPolyhedron:
         # joint RREF of (a | b) is unique for the affine hull, so the
         # equality block is canonical
         eq_rref, eq_pivots = rref([a + (dot(a, p0),) for a in normals])
-        assert self.dim not in eq_pivots
+        if self.dim in eq_pivots:
+            raise RuntimeError("affine hull equations are inconsistent at a vertex")
         eqs = tuple(sorted((primitive_signed(r)[:-1], primitive_signed(r)[-1])
                            for r in eq_rref))
 
@@ -609,7 +597,8 @@ def _piece_in_union(P: HPolyhedron, pieces) -> Vec | bool:
     # P sits weakly on one side of every bounding hyperplane and is inside no
     # piece, so its relative interior misses the whole union
     w = P.relint_point()
-    assert not any(Q.contains(w) for Q in pieces)
+    if any(Q.contains(w) for Q in pieces):
+        raise RuntimeError("relative-interior witness lies inside the union")
     return w
 
 
@@ -763,7 +752,8 @@ def _min_sqdist(x: Vec, P: HPolyhedron) -> Fraction:
             d2 = sum((a - b) ** 2 for a, b in zip(x, cand))
             if best is None or d2 < best:
                 best = d2
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no active set projects onto a point of a nonempty polyhedron")
     return best
 
 

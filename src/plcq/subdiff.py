@@ -70,7 +70,9 @@ def clarke_singular_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
     z = _epi_point(f, x)
     N = clarke_normal_cone(f.epigraph(), z).body
     D = N.slice_last(Fraction(0)).canonical()
-    assert D.is_cone() and D.contains(zeros(f.dim))
+    if not (D.is_cone() and D.contains(zeros(f.dim))):
+        raise RuntimeError("singular subdifferential is not a cone: a slice at 0 of "
+                           "a normal cone must be one")
     return SubdiffResult(D, CLARKE_SINGULAR, tuple(x))
 
 
@@ -98,7 +100,9 @@ def clarke_dirderiv(f: PLFunction, x: Vec, h: Vec) -> Fraction:
     if not f.lipschitz_at(x):
         raise NotLipschitz("Clarke directional derivative needs a Lipschitz point")
     val = support_function(clarke_subdiff(f, x).set, tuple(h))
-    assert isinstance(val, Fraction)
+    if not isinstance(val, Fraction):
+        raise RuntimeError("Clarke subdifferential at a Lipschitz point must be a "
+                           "nonempty polytope, but its support is %r" % (val,))
     return val
 
 

@@ -7,6 +7,12 @@ the known thresholds, with the per-tau direction-wise test
 decides the same identities exactly at a few probe points, and the result
 dicts must agree.  The edge cases below pin down the closed-form thresholds
 and the probe comparison on their own.
+
+Proposition 3.2 has its own reference route here: the three-scale
+`verify_prop32`, which decides the half-open identity (ii) with one
+`_in_scaled_sum` membership LP per point of a sampled battery, kept verbatim.
+The library decides all four identities once, at one scale, and (ii) by
+comparing two lifted cones; both must give the same verdicts.
 """
 
 import json
@@ -15,26 +21,89 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import plcq
-from plcq import cq
+from plcq import cq, simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis, NotApplicable,
-                     _dirwise_tau, _endset_tau, _holds, _Identity, _probes,
+                     _dirwise_tau, _endset_tau, _holds, _Identity, _lifted_system, _probes,
                      _refined_cells, _scaled_sum_projection, best_tau_directional,
                      best_tau_endset, check_clarke_bcq, check_extended_bcq,
                      check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
                      check_tangent_inclusion, endset_distance, error_bound_modulus,
-                     verify_prop32, verify_theorems)
+                     verify_theorems)
 from plcq.instances import generate_corpus
 from plcq.linalg import INF, Vec, dot, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import HPolyhedron, segment_hull
+from plcq.polyhedra import HPolyhedron, in_scaled_set, minkowski_sum, segment_hull
 from plcq.subdiff import NotLipschitz
 
 F = Fraction
 _GRID = Fraction(1, 1024)  # tightness certification grid 1 - 1/1024
+
+
+# ---------------------------------------------------------------------------
+# reference: Proposition 3.2 at three scales on a point battery, verbatim
+# ---------------------------------------------------------------------------
+
+def _in_scaled_sum(z: Vec, C: HPolyhedron, K: HPolyhedron, r, include_zero=True) -> bool:
+    """z in (0,r]C + K, or [0,r]C + K when include_zero (then t=0 contributes
+    exactly K, since [0,r]C contains 0)."""
+    if C.is_empty:
+        return include_zero and K.contains(z)
+    if include_zero and K.contains(z):
+        return True
+    rows, eqs = _lifted_system(z, C, K)
+    rows.append(((Fraction(1),) + zeros(C.dim), Fraction(r)))
+    obj = (Fraction(1),) + zeros(C.dim)
+    res = simplex.lp_solve(obj, rows, eqs, sense="max")
+    return res.status == simplex.OPTIMAL and res.value > 0
+
+
+def verify_prop32(an: Analysis, r) -> dict:
+    """The four subdifferential/singular-cone identities at scale r > 0:
+    (i) @c + r @c^inf = @c, (ii) (0,r]@c + @c^inf = (0,r]@c,
+    (iii) @c^inf inside cl((0,r]@c), (iv) cl([0,r]@c) = [0,r]@c + @c^inf.
+    Closed identities are polyhedral equalities between two independently
+    built sets; the half-open (ii) adds exact scaled-membership bookkeeping
+    on a deterministic point battery."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("scale must be positive")
+    sub, sing = an.clarke.set, an.singular.set
+    if sub.is_empty:
+        raise NotApplicable("empty Clarke subdifferential")
+    if sub.recession().subset_of(sing) is not True:
+        raise RuntimeError("recession cone of the Clarke subdifferential "
+                           "is not inside the singular cone")
+    out = {}
+    out["i"] = minkowski_sum(sub, sing).set_eq(sub)
+    closure = segment_hull(sub, r)
+    out["iii"] = sing.subset_of(closure) is True
+    projected = _scaled_sum_projection(sub, sing, r)
+    out["iv"] = closure.set_eq(projected)
+
+    battery = [zeros(an.f.dim)]
+    battery += list(closure.generators().vertices)
+    battery += [g for g in closure.generators().rays]
+    vs = sub.generators()
+    battery += [scale_point for p in vs.vertices
+                for scale_point in (tuple(q * r for q in p), tuple(q * r / 2 for q in p))]
+    battery += list(sing.generators().rays)
+    for p in list(battery):
+        for k in sing.generators().rays:
+            battery.append(tuple(a + b for a, b in zip(p, k)))
+    ok = True
+    for z in battery:
+        lhs = _in_scaled_sum(z, sub, sing, r, include_zero=False)
+        rhs = in_scaled_set(z, sub, r, include_zero=False)
+        if lhs != rhs:
+            ok = False
+            break
+    out["ii"] = ok
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +551,92 @@ def test_extra_checks_fail_their_rows():
     an = kink()
     an._endset_distances[MODE_CLARKE] = F(1, 3)  # d != d_sub = 1/2
     assert verify_theorems(an)["cor3.1"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# Propositions 3.2 and 4.1 at one scale against the three-scale reference
+# ---------------------------------------------------------------------------
+
+def _sets(C, K):
+    """An Analysis stand-in carrying only what verify_prop32 reads."""
+    return SimpleNamespace(clarke=SimpleNamespace(set=C), singular=SimpleNamespace(set=K),
+                           f=SimpleNamespace(dim=C.dim))
+
+
+def _prop32_matches_reference(an) -> dict:
+    once = cq.verify_prop32(an, 1)
+    for r in (F(1), F(1, 2), F(3)):
+        ref = verify_prop32(an, r)
+        assert once == ref, r
+        assert cq.verify_prop32(an, r) == ref, r
+    return once
+
+
+def test_prop32_matches_reference_on_corpora():
+    checked = nontrivial = 0
+    for f, p in _corpus():
+        an = Analysis(f, p)
+        if an.clarke.set.is_empty:
+            continue
+        assert all(_prop32_matches_reference(an).values()), (f, p)
+        checked += 1
+        # rec(C) = K != {0}: (ii) then compares genuinely different lifts
+        nontrivial += not an.singular_is_zero
+    assert checked >= 40 and nontrivial >= 3, (checked, nontrivial)
+
+
+_RAY = HPolyhedron(1, rows=[(vec(-1), F(0))])                          # [0, oo)
+_SEGMENT = HPolyhedron(2, rows=[(vec(1, 0), F(1)), (vec(-1, 0), F(0))],
+                       eqs=[(vec(0, 1), F(1))])                        # [0,1] x {1}
+_ALONG = HPolyhedron(2, rows=[(vec(-1, 0), F(0))], eqs=[(vec(0, 1), F(0))])
+
+
+def test_prop32_fails_where_singular_cone_leaves_recession():
+    # C = [1, 2], K = [0, oo): 3 = 1 + 2 lies in (0,1]C + K but not in
+    # (0,1]C = (0, 2]; projecting the lifts onto z alone would hide this,
+    # since both project to [0, oo)
+    interval = HPolyhedron(1, rows=[(vec(1), F(2)), (vec(-1), F(-1))])
+    once = _prop32_matches_reference(_sets(interval, _RAY))
+    assert not once["i"] and not once["ii"]
+    # a segment in R^2 with K a ray along it
+    once = _prop32_matches_reference(_sets(_SEGMENT, _ALONG))
+    assert not once["i"] and not once["ii"]
+
+
+def test_prop32_holds_where_recession_is_singular_cone():
+    # rec(C) = K != {0}: C = [1, oo) with K = [0, oo), and the half strip
+    # [1, oo) x [0, 1] with K the ray along it
+    half_line = HPolyhedron(1, rows=[(vec(-1), F(-1))])
+    assert all(_prop32_matches_reference(_sets(half_line, _RAY)).values())
+    strip = HPolyhedron(2, rows=[(vec(-1, 0), F(-1)), (vec(0, 1), F(1)), (vec(0, -1), F(0))])
+    assert all(_prop32_matches_reference(_sets(strip, _ALONG)).values())
+
+
+def test_prop32_solves_no_lp(monkeypatch):
+    ans = [Analysis(inst.f, p)
+           for inst in (generate_corpus(6, 1, seed=44, extended=True, max_atoms=5)
+                        + generate_corpus(3, 2, seed=45, extended=True, max_atoms=4))
+           for p in inst.basepoints]
+    ans = [an for an in ans if not an.clarke.set.is_empty]
+    assert len(ans) >= 8 and not all(an.singular_is_zero for an in ans)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("verify_prop32 solved an LP")
+    monkeypatch.setattr(simplex, "lp_solve", no_lp)
+    for an in ans:
+        cq.verify_prop32(an, 1)
+
+
+def test_prop32_and_prop41_use_one_scale(monkeypatch):
+    seen = []
+    real = cq.verify_prop32
+    monkeypatch.setattr(cq, "verify_prop32", lambda an, r: seen.append(r) or real(an, r))
+    dom = HPolyhedron(1, rows=[(vec(1), F(0))])
+    assert cq._prop32(Analysis(PLFunction(atom([1]), domain=dom), vec(0)))
+    assert seen == [1]
+    seen.clear()
+    real_projection = cq._scaled_sum_projection
+    monkeypatch.setattr(cq, "_scaled_sum_projection",
+                        lambda C, K, r: seen.append(r) or real_projection(C, K, r))
+    assert cq._prop41(Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0)))
+    assert seen == [1]

@@ -6,7 +6,7 @@ import pytest
 from plcq import simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
                      FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _ball_slice_vertices,
-                     _in_scaled_sum, _scaled_sum_threshold, analyze,
+                     _scaled_sum_threshold, analyze,
                      best_tau_directional, best_tau_endset, check_clarke_bcq,
                      check_extended_bcq,
                      check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
@@ -15,9 +15,10 @@ from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
 from plcq.instances import generate_corpus
 from plcq.linalg import INF, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import HPolyhedron
+from plcq.polyhedra import HPolyhedron, NormSpec
+from plcq.subdiff import NotLipschitz
 
-from test_battery_reference import _tau_grid
+from test_battery_reference import _in_scaled_sum, _tau_grid
 
 F = Fraction
 
@@ -374,3 +375,55 @@ def test_l1_norm_battery():
         d1, _ = best_tau_directional(an, MODE_CLARKE)
         d2, _ = best_tau_endset(an, MODE_CLARKE)
         assert d1 == d2
+
+
+def test_subdiff_in_normal_inside_solution_set():
+    # f = x - 1 at 0: regular and inside S, where N_c(S, 0) = {0} does not
+    # hold the subgradient 1; the inclusion is owed only on the zero level
+    an = Analysis(PLFunction(atom([1], -1)), vec(0))
+    assert an.regular and not an.on_boundary
+    assert check_subdiff_in_normal(an) is False
+    rep = analyze(PLFunction(atom([1], -1)), vec(0))
+    assert rep.subdiff_in_normal is False
+    assert rep.theorem_checks["prop3.1"] == "pass"
+
+
+def test_frechet_bcq_below_zero_level():
+    # a domain boundary point with phi = -15/4: Frechet subgradients need not
+    # be Frechet normals of S there
+    inst = generate_corpus(3, 2, seed=6, extended=True, max_atoms=4)[0]
+    x = vec(F(-1, 2), F(-1, 2))
+    assert x in inst.basepoints
+    an = Analysis(inst.f, x)
+    assert an.on_boundary and an.phi_value == F(-15, 4)
+    assert an.frechet.set.subset_of(an.normal_frechet) is not True
+    assert check_frechet_bcq(an)[0] is False
+    rep = analyze(inst.f, x)
+    assert rep.frechet_bcq is False
+
+
+def _generated_and_shifted():
+    for extended in (False, True):
+        for inst in (generate_corpus(4, 1, seed=5, extended=extended, max_atoms=4)
+                     + generate_corpus(3, 2, seed=6, extended=extended, max_atoms=4)
+                     + generate_corpus(2, 3, seed=7, extended=extended, max_atoms=4)):
+            for p in inst.basepoints:
+                yield inst.f, p
+                for d in (F(1), F(-1, 2)):
+                    q = tuple(c + d for c in p)
+                    if inst.f.in_domain(q):
+                        yield inst.f, q
+
+
+def test_analyze_raises_only_not_applicable():
+    # every self-check's premise holds wherever it raises: on and off the
+    # boundary, on and below the zero level, in both polyhedral norms
+    calls = 0
+    for f, x in _generated_and_shifted():
+        for norm in (NormSpec("linf"), NormSpec("l1")):
+            try:
+                analyze(f, x, norm)
+            except (NotApplicable, NotLipschitz):
+                pass
+            calls += 1
+    assert calls >= 100

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from plcq.linalg import vec, zeros
 from plcq.oracle import (SamplePlan, sample_clarke_dirderiv,
                          sample_clarke_tangent_membership,
@@ -64,3 +66,9 @@ def test_oracles_deterministic():
     half = UnionPolyhedron([HPolyhedron(1, rows=[(vec(1), F(0))])])
     assert (sample_clarke_tangent_membership(half, vec(0), vec(-1), plan)
             == sample_clarke_tangent_membership(half, vec(0), vec(-1), plan))
+
+
+def test_frechet_check_rejects_point_outside_domain():
+    f = PLFunction(atom([1]), domain=HPolyhedron(1, rows=[(vec(1), F(0))]))
+    with pytest.raises(ValueError, match="dom f"):
+        sample_frechet_subgradient_check(f, vec(1), vec(1), SamplePlan(seed=1))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import plcq
 from plcq import simplex
 from plcq.linalg import INF, add, dot, scale, vec, zeros
-from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
+from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron, VRep,
                             distance, hull, in_scaled_set, minkowski_sum,
                             nonneg_hull, polar_cone, segment_hull,
                             support_function, union_subset, union_set_eq)
@@ -275,6 +275,72 @@ def test_distance_lp_failure_raises_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "raised: linf distance LP" in out.stdout
+
+
+def _falsely_nonempty():
+    """The empty set {x <= 0, x >= 1} with a cached vertex claiming 0."""
+    P = HPolyhedron(1, rows=[(vec(1), F(0)), (vec(-1), F(-1))])
+    P._vrep = VRep(((F(0),),), (), ())
+    return P
+
+
+def test_l2_distance_to_corrupted_polyhedron_raises():
+    with pytest.raises(RuntimeError, match="no active set"):
+        distance(vec(3), _falsely_nonempty(), NormSpec("l2"))
+
+
+_CORRUPTED_INPUT_SCRIPT = """
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
+from plcq import subdiff
+from plcq.linalg import INF, vec
+from plcq.oracle import SamplePlan, sample_frechet_subgradient_check
+from plcq.plfunc import PLFunction, atom
+from plcq.polyhedra import HPolyhedron, NormSpec, VRep, distance
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+
+
+def attempt(fn):
+    try:
+        fn()
+    except (RuntimeError, ValueError) as e:
+        print("raised:", e)
+
+
+# l2 distance to an empty polyhedron whose cached vertices claim a point
+P = HPolyhedron(1, rows=[(vec(1), Fraction(0)), (vec(-1), Fraction(-1))])
+P._vrep = VRep(((Fraction(0),),), (), ())
+attempt(lambda: distance(vec(3), P, NormSpec("l2")))
+# Frechet sampling check at a point outside dom f
+f = PLFunction(atom([1]), domain=HPolyhedron(1, rows=[(vec(1), Fraction(0))]))
+attempt(lambda: sample_frechet_subgradient_check(f, vec(1), vec(1), SamplePlan(seed=1)))
+# Clarke directional derivative with an unbounded support
+real_support = subdiff.support_function
+subdiff.support_function = lambda C, h: INF
+attempt(lambda: subdiff.clarke_dirderiv(PLFunction(atom([1])), vec(0), vec(1)))
+subdiff.support_function = real_support
+# singular subdifferential from a normal cone whose slice at 0 is no cone
+fake = SimpleNamespace(body=HPolyhedron(2, rows=[(vec(1, 0), Fraction(1))]))
+subdiff.clarke_normal_cone = lambda S, z: fake
+attempt(lambda: subdiff.clarke_singular_subdiff(PLFunction(atom([1])), vec(0)))
+"""
+
+
+def test_self_checks_raise_under_optimize():
+    # python -O strips assert statements; these checks must not depend on them
+    src = str(Path(plcq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_INPUT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4, out.stdout
+    for line, fact in zip(lines, ("no active set", "dom f", "nonempty polytope", "not a cone")):
+        assert line.startswith("raised:") and fact in line, line
 
 
 # -- norm balls ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from plcq.linalg import add, vec, zeros
+from plcq import subdiff
+from plcq.linalg import INF, add, vec, zeros
 from plcq.oracle import SamplePlan, sample_clarke_dirderiv
 from plcq.plfunc import PLFunction, atom, vmax, vmin
 from plcq.polyhedra import HPolyhedron, support_function
@@ -147,3 +149,17 @@ def test_clarke_dirderiv_matches_sampled_limsup(rng):
             exact = float(clarke_dirderiv(f, x, h))
             approx = sample_clarke_dirderiv(f, x, h, plan)
             assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
+
+
+def test_singular_subdiff_rejects_a_non_cone(monkeypatch):
+    # a normal cone whose slice at 0 is the half-line x* <= 1: not a cone
+    fake = SimpleNamespace(body=HPolyhedron(2, rows=[(vec(1, 0), F(1))]))
+    monkeypatch.setattr(subdiff, "clarke_normal_cone", lambda S, z: fake)
+    with pytest.raises(RuntimeError, match="not a cone"):
+        clarke_singular_subdiff(PLFunction(atom([1])), vec(0))
+
+
+def test_clarke_dirderiv_rejects_unbounded_support(monkeypatch):
+    monkeypatch.setattr(subdiff, "support_function", lambda C, h: INF)
+    with pytest.raises(RuntimeError, match="nonempty polytope"):
+        clarke_dirderiv(neg_abs(), vec(0), vec(1))
