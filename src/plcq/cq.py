@@ -2,12 +2,13 @@
 
 Decides the plain, extended and Frechet BCQ and their tau-strong forms as
 exact polyhedral inclusions, computes infimal tau constants by two
-independent routes (direction-wise fractional programs over refined cones,
-and reciprocal end-set distances), the error-bound modulus of the
-linearized inequality, and replays the characterization theorems relating
-all of these as machine-checkable identities.  Each strong-BCQ identity is
-decided exactly: both of its sides are closed up-sets {tau >= T} whose
-thresholds are computed, not sampled on a tau grid.
+independent routes (direction-wise ratios read off the generators of
+refined cones, and reciprocal end-set distances), the error-bound modulus
+of the linearized inequality, and replays the characterization theorems
+relating all of these as machine-checkable identities.  Each strong-BCQ
+identity is decided exactly: both of its sides are closed up-sets
+{tau >= T} whose thresholds are computed in closed form, not sampled on a
+tau grid.  No LP is solved here; only the end-set distances solve LPs.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from functools import cached_property
 from typing import Callable
 
 from .linalg import INF, Vec, dot, is_zero, neg, sub, zeros
-from . import simplex
-from .cones import (clarke_normal_cone, clarke_tangent_cone, contingent_cone,
-                    frechet_normal_cone)
+from .cones import clarke_tangent_cone, contingent_cone
 from .endset import distance_to_end_set
 from .plfunc import PLFunction, is_boundary_point
 from .polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
-                        in_scaled_set, minkowski_sum, nonneg_hull, segment_hull)
+                        in_scaled_set, minkowski_sum, nonneg_hull, scale_interval,
+                        segment_hull)
 from .subdiff import (NotLipschitz, clarke_singular_subdiff, clarke_subdiff,
                       frechet_subdiff, is_regular)
 
@@ -106,13 +106,13 @@ class Analysis:
 
     @cached_property
     def normal_clarke(self) -> HPolyhedron:
-        self.require_in_solution_set()
-        return clarke_normal_cone(self.solution_set, self.x).body.canonical()
+        """N_c(S, x), the polar of the Clarke tangent cone."""
+        return self.tangent_clarke.polar().body.canonical()
 
     @cached_property
     def normal_frechet(self) -> HPolyhedron:
-        self.require_in_solution_set()
-        return frechet_normal_cone(self.solution_set, self.x).body.canonical()
+        """N^(S, x), the polar of the contingent cone."""
+        return self.tangent_contingent.polar().body.canonical()
 
     @cached_property
     def clarke_ball_slice(self) -> tuple[Vec, ...]:
@@ -149,6 +149,13 @@ class Analysis:
     def subdiff_in_normal(self) -> bool:
         """@c f(x) subset of N_c(S, x)."""
         return self.clarke.set.subset_of(self.normal_clarke) is True
+
+    @cached_property
+    def clarke_plus_singular(self) -> HPolyhedron:
+        """@c f(x) + @c^inf f(x), empty when the subdifferential is."""
+        if self.clarke.set.is_empty:
+            return self.clarke.set
+        return minkowski_sum(self.clarke.set, self.singular.set)
 
     @cached_property
     def clarke_subdiff_distance(self):
@@ -196,7 +203,7 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
-# scaled sums [0,tau]C + K through the lifted (z, t, k) system
+# scaled sums tC + K: exact thresholds and the lifted (z, t, k) system
 # ---------------------------------------------------------------------------
 
 def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
@@ -213,36 +220,22 @@ def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
     return rows, eqs
 
 
-def _lifted_system(z: Vec, C: HPolyhedron, K: HPolyhedron):
-    """The lifted rows over (t, k) for a fixed z: the z part moves to the
-    right-hand side."""
-    rows, eqs = _lifted_rows(C, K)
-    return ([(a, b if za is None else b - dot(za, z)) for za, a, b in rows],
-            [(e, d if ze is None else d - dot(ze, z)) for ze, e, d in eqs])
+def _vertex_threshold(z: Vec, CK: HPolyhedron, K: HPolyhedron):
+    """t*(z) = inf{t > 0 : z in tC + K} for CK = C + K, so that z lies in
+    [0,tau]C + K iff t*(z) <= tau, for every tau > 0 (INF exceeds every tau).
 
-
-def _scaled_sum_threshold(z: Vec, C: HPolyhedron, K: HPolyhedron):
-    """t*(z) = inf{t > 0 : z in tC + K}, so that z lies in [0,tau]C + K iff
-    t*(z) <= tau, for every tau > 0 (INF exceeds every tau).
-
-    The feasible t of the lifted system form a closed interval T.  t* is 0
-    when z is in K, or when T reaches down to 0 and holds some t > 0; it is
-    INF when T is empty or {0}; otherwise it is min T, which is attained.
-    At most two LPs: min t, then max t <= 1 when that minimum is 0."""
+    K is a cone, so tC + K = t(C + K) for t > 0, and the t >= 0 with z in
+    t(C + K) (read at t = 0 as rec(C + K)) form the closed interval
+    scale_interval(z, C + K).  t* is 0 when z is in K; INF when C is empty
+    or the interval is empty or {0}; otherwise the interval's lower end."""
     if K.contains(z):
         return Fraction(0)
-    if C.is_empty:
+    if CK.is_empty:
         return INF
-    rows, eqs = _lifted_system(z, C, K)
-    obj = (Fraction(1),) + zeros(C.dim)
-    res = simplex.lp_solve(obj, rows, eqs, sense="min")
-    if res.status != simplex.OPTIMAL:
+    iv = scale_interval(z, CK)
+    if iv is None or iv[1] == 0:
         return INF
-    if res.value > 0:
-        return res.value
-    rows.append(((Fraction(1),) + zeros(C.dim), Fraction(1)))
-    res = simplex.lp_solve(obj, rows, eqs, sense="max")
-    return Fraction(0) if res.value > 0 else INF
+    return iv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +300,14 @@ def check_frechet_bcq(an: Analysis):
 
 
 def _strong_bcq_sets(an: Analysis, mode: str):
-    """(vertices of N cap B_dual, C, K) of the mode's inclusion
+    """(vertices of N cap B_dual, C + K, K) of the mode's inclusion
     N cap B_dual subset of [0,tau]C + K, after the mode's hypothesis guards."""
     an.require_boundary()
     if mode == MODE_CLARKE:
         return an.clarke_ball_slice, an.clarke.set, HPolyhedron.single_point(zeros(an.f.dim))
     if mode == MODE_EXTENDED:
         an.require_zero_level()
-        return an.clarke_ball_slice, an.clarke.set, an.singular.set
+        return an.clarke_ball_slice, an.clarke_plus_singular, an.singular.set
     if mode == MODE_FRECHET:
         an.require_zero_level()
         return an.frechet_ball_slice, an.frechet.set, HPolyhedron.single_point(zeros(an.f.dim))
@@ -323,12 +316,12 @@ def _strong_bcq_sets(an: Analysis, mode: str):
 
 def strong_bcq_thresholds(an: Analysis, mode: str) -> tuple:
     """((v, t*(v)), ...) over the vertices v of N cap B_dual in generators()
-    order, with t* from _scaled_sum_threshold.  Built once per Analysis and
+    order, with t* from _vertex_threshold.  Built once per Analysis and
     mode; the mode's guards run on every call."""
-    W, C, K = _strong_bcq_sets(an, mode)
+    W, CK, K = _strong_bcq_sets(an, mode)
     table = an._strong_thresholds.get(mode)
     if table is None:
-        table = tuple((v, _scaled_sum_threshold(v, C, K)) for v in W)
+        table = tuple((v, _vertex_threshold(v, CK, K)) for v in W)
         an._strong_thresholds[mode] = table
     return table
 
@@ -378,27 +371,6 @@ def _refined_cells(W: list[Vec], G: list[Vec], dim: int):
                 yield u, w, C
 
 
-def _best_tau_cells(W: list[Vec], G: list[Vec], dim: int):
-    """Infimal tau with max_k w.h <= tau * max{0, max_j g.h} everywhere;
-    INF when no finite tau works; 0 means every positive tau works."""
-    if all(is_zero(w) for w in W):
-        return Fraction(0)
-    best = Fraction(0)
-    for u, w, C in _refined_cells(W, G, dim):
-        v = C.generators()
-        if is_zero(u):
-            # max{0, .} vanishes here, so the distance must too
-            if any(dot(w, r) > 0 for r in v.rays) or any(dot(w, l) != 0 for l in v.lines):
-                return INF
-            continue
-        res = simplex.lp_solve(w, rows=C.rows, eqs=[(u, Fraction(1))])
-        if res.status == simplex.UNBOUNDED:
-            return INF
-        if res.status == simplex.OPTIMAL:
-            best = max(best, res.value)
-    return best
-
-
 def _dirwise_tau(W: list[Vec], G: list[Vec], dim: int):
     """Least tau with d(h,T) <= tau * max{0, phi-support(h)} for all h, read
     exactly off the generators of every full-dimensional refined cone: the
@@ -431,7 +403,7 @@ def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
 
 def best_tau_directional(an: Analysis, mode: str):
     """Infimal tau via sup over directions of d(h, T)/derivative ratios,
-    one fractional LP per refined cone (Charnes-Cooper normalization).
+    read exactly off the generators of every refined cone (_dirwise_tau).
     Computed once per Analysis and mode; the mode's guards run on every call.
 
     Returns (tau, flags): INF when no finite tau exists, 0 (flagged) when
@@ -453,7 +425,7 @@ def best_tau_directional(an: Analysis, mode: str):
             W, G = an.frechet_ball_slice, an.frechet.vertices()
             if an.frechet.is_empty:
                 flags.add(FLAG_CONVENTION)
-        tau = _best_tau_cells(W, G, an.f.dim)
+        tau = _dirwise_tau(W, G, an.f.dim)
         if tau == 0:
             flags.add(FLAG_ANY_TAU)
         memo[mode] = tau, frozenset(flags)
@@ -546,14 +518,14 @@ def check_tangent_inclusion(an: Analysis) -> bool:
 
 def error_bound_modulus(an: Analysis):
     """Infimal tau with d(h, S_psi) <= tau max{0, psi(h)} for psi = phi°(x;.):
-    the same refined-cone program with the tangent cone replaced by the
+    the same refined-cone ratios with the tangent cone replaced by the
     sublevel cone of psi.  Computed once per Analysis."""
     an.require_lipschitz()
     if an._error_bound_modulus is None:
         G = an.clarke.vertices()
         polar = nonneg_hull(an.clarke.set) if G else HPolyhedron.single_point(zeros(an.f.dim))
         W = _ball_slice_vertices(an, polar)
-        an._error_bound_modulus = _best_tau_cells(W, G, an.f.dim)
+        an._error_bound_modulus = _dirwise_tau(W, G, an.f.dim)
     return an._error_bound_modulus
 
 
@@ -664,9 +636,7 @@ def _tau_error_bound(an: Analysis, mode: str):
 
 
 def _tau_dirwise(an: Analysis, mode: str):
-    if mode == MODE_CLARKE:
-        return _dirwise_tau(an.clarke_ball_slice, an.clarke.vertices(), an.f.dim)
-    return _dirwise_tau(an.frechet_ball_slice, an.frechet.vertices(), an.f.dim)
+    return best_tau_directional(an, mode)[0]
 
 
 def _clarke_taus_agree(an: Analysis) -> bool:

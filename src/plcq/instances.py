@@ -59,7 +59,7 @@ def _expr_from_obj(obj, dim):
         if op == "min":
             return Min(tuple(args))
         raise InstanceError("unknown expression op %r" % op)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InstanceError("bad expression node: %s" % e) from None
 
 
@@ -82,10 +82,12 @@ def _domain_from_obj(obj, dim) -> HPolyhedron | None:
             a = tuple(frac(s) for s in item["a"])
             b = frac(item["b"])
             kind = item.get("type", "le")
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise InstanceError("bad domain row: %s" % e) from None
         if len(a) != dim:
             raise InstanceError("domain row has wrong dimension")
+        if kind not in ("le", "eq"):
+            raise InstanceError("domain row type must be 'le' or 'eq', not %r" % (kind,))
         (eqs if kind == "eq" else rows).append((a, b))
     return HPolyhedron(dim, rows, eqs)
 
@@ -108,6 +110,9 @@ def instance_to_obj(inst: Instance) -> dict:
 
 
 def instance_from_obj(obj) -> Instance:
+    if not isinstance(obj, dict):
+        raise InstanceError("instance document must be a JSON object, not %s"
+                            % type(obj).__name__)
     try:
         version = obj.get("version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
@@ -121,9 +126,14 @@ def instance_from_obj(obj) -> Instance:
         seed = obj.get("seed")
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InstanceError("bad instance document: %s" % e) from None
-    f = PLFunction(expr, dim, domain)
+    except RecursionError:
+        raise InstanceError("expression tree nested too deeply") from None
+    try:
+        f = PLFunction(expr, dim, domain)
+    except ValueError as e:
+        raise InstanceError("bad instance: %s" % e) from None
     for p in basepoints:
         if len(p) != dim:
             raise InstanceError("basepoint has wrong dimension")
@@ -139,6 +149,8 @@ def load_instance(path) -> Instance:
         except json.JSONDecodeError as e:
             raise InstanceError("invalid JSON at line %d column %d: %s"
                                 % (e.lineno, e.colno, e.msg)) from None
+        except RecursionError:
+            raise InstanceError("JSON nested too deeply") from None
     return instance_from_obj(obj)
 
 

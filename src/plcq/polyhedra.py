@@ -111,19 +111,6 @@ def dd_cone(constraints: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tu
     return out_lines, out_rays
 
 
-def cone_hrep(rays, lines, dim: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
-    """H-representation (rows, eqs) of cone(rays) + span(lines), via the dual
-    cone's generators."""
-    cons = [primitive(r) for r in rays]
-    for l in lines:
-        cons.append(primitive(l))
-        cons.append(primitive(neg(l)))
-    dlines, drays = dd_cone(tuple(cons), dim)
-    rows = tuple((r, Fraction(0)) for r in drays)
-    eqs = tuple((l, Fraction(0)) for l in dlines)
-    return rows, eqs
-
-
 # ---------------------------------------------------------------------------
 # HPolyhedron
 # ---------------------------------------------------------------------------
@@ -448,9 +435,7 @@ def nonneg_hull(C: HPolyhedron) -> HPolyhedron:
     if C.is_empty:
         return HPolyhedron.single_point(zeros(C.dim))
     v = C.generators()
-    rays = [p for p in v.vertices if not is_zero(p)] + list(v.rays)
-    rows, eqs = cone_hrep(rays, v.lines, C.dim)
-    return HPolyhedron(C.dim, rows, eqs).canonical()
+    return hull([zeros(C.dim)], v.vertices + v.rays, v.lines, C.dim)
 
 
 def scale_interval(z: Vec, C: HPolyhedron) -> tuple | None:

@@ -13,6 +13,14 @@ Proposition 3.2 has its own reference route here: the three-scale
 `_in_scaled_sum` membership LP per point of a sampled battery, kept verbatim.
 The library decides all four identities once, at one scale, and (ii) by
 comparing two lifted cones; both must give the same verdicts.
+
+The tau quantities have LP reference routes here too, kept verbatim: the
+vertex threshold t*(z) of the strong BCQ as up to two LPs over the lifted
+(t, k) system (`_scaled_sum_threshold`), and the direction-wise tau and the
+error-bound modulus as one fractional LP per refined cone
+(`_best_tau_cells`).  The library reads the threshold off the scaling
+interval of C + K and the direction-wise taus off the cone generators; both
+must give the same values.
 """
 
 import json
@@ -27,21 +35,81 @@ import pytest
 
 import plcq
 from plcq import cq, simplex
+from plcq.cones import clarke_normal_cone, frechet_normal_cone
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis, NotApplicable,
-                     _dirwise_tau, _endset_tau, _holds, _Identity, _lifted_system, _probes,
-                     _refined_cells, _scaled_sum_projection, best_tau_directional,
-                     best_tau_endset, check_clarke_bcq, check_extended_bcq,
-                     check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
-                     check_tangent_inclusion, endset_distance, error_bound_modulus,
+                     _ball_slice_vertices, _dirwise_tau, _endset_tau, _holds, _Identity,
+                     _lifted_rows, _probes, _refined_cells, _scaled_sum_projection,
+                     _vertex_threshold, best_tau_directional, best_tau_endset,
+                     check_clarke_bcq, check_extended_bcq, check_frechet_bcq,
+                     check_strong_bcq, check_subdiff_in_normal, check_tangent_inclusion,
+                     endset_distance, error_bound_modulus, strong_bcq_thresholds,
                      verify_theorems)
 from plcq.instances import generate_corpus
-from plcq.linalg import INF, Vec, dot, vec, zeros
+from plcq.linalg import INF, Vec, dot, is_zero, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import HPolyhedron, in_scaled_set, minkowski_sum, segment_hull
+from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, in_scaled_set, minkowski_sum,
+                            polar_cone, segment_hull)
 from plcq.subdiff import NotLipschitz
 
 F = Fraction
 _GRID = Fraction(1, 1024)  # tightness certification grid 1 - 1/1024
+
+
+# ---------------------------------------------------------------------------
+# reference: LP thresholds and LP direction-wise taus, verbatim
+# ---------------------------------------------------------------------------
+
+def _lifted_system(z: Vec, C: HPolyhedron, K: HPolyhedron):
+    """The lifted rows over (t, k) for a fixed z: the z part moves to the
+    right-hand side."""
+    rows, eqs = _lifted_rows(C, K)
+    return ([(a, b if za is None else b - dot(za, z)) for za, a, b in rows],
+            [(e, d if ze is None else d - dot(ze, z)) for ze, e, d in eqs])
+
+
+def _scaled_sum_threshold(z: Vec, C: HPolyhedron, K: HPolyhedron):
+    """t*(z) = inf{t > 0 : z in tC + K}, so that z lies in [0,tau]C + K iff
+    t*(z) <= tau, for every tau > 0 (INF exceeds every tau).
+
+    The feasible t of the lifted system form a closed interval T.  t* is 0
+    when z is in K, or when T reaches down to 0 and holds some t > 0; it is
+    INF when T is empty or {0}; otherwise it is min T, which is attained.
+    At most two LPs: min t, then max t <= 1 when that minimum is 0."""
+    if K.contains(z):
+        return Fraction(0)
+    if C.is_empty:
+        return INF
+    rows, eqs = _lifted_system(z, C, K)
+    obj = (Fraction(1),) + zeros(C.dim)
+    res = simplex.lp_solve(obj, rows, eqs, sense="min")
+    if res.status != simplex.OPTIMAL:
+        return INF
+    if res.value > 0:
+        return res.value
+    rows.append(((Fraction(1),) + zeros(C.dim), Fraction(1)))
+    res = simplex.lp_solve(obj, rows, eqs, sense="max")
+    return Fraction(0) if res.value > 0 else INF
+
+
+def _best_tau_cells(W: list[Vec], G: list[Vec], dim: int):
+    """Infimal tau with max_k w.h <= tau * max{0, max_j g.h} everywhere;
+    INF when no finite tau works; 0 means every positive tau works."""
+    if all(is_zero(w) for w in W):
+        return Fraction(0)
+    best = Fraction(0)
+    for u, w, C in _refined_cells(W, G, dim):
+        v = C.generators()
+        if is_zero(u):
+            # max{0, .} vanishes here, so the distance must too
+            if any(dot(w, r) > 0 for r in v.rays) or any(dot(w, l) != 0 for l in v.lines):
+                return INF
+            continue
+        res = simplex.lp_solve(w, rows=C.rows, eqs=[(u, Fraction(1))])
+        if res.status == simplex.UNBOUNDED:
+            return INF
+        if res.status == simplex.OPTIMAL:
+            best = max(best, res.value)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -640,3 +708,104 @@ def test_prop32_and_prop41_use_one_scale(monkeypatch):
                         lambda C, K, r: seen.append(r) or real_projection(C, K, r))
     assert cq._prop41(Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0)))
     assert seen == [1]
+
+
+# ---------------------------------------------------------------------------
+# closed-form tau quantities against the LP references
+# ---------------------------------------------------------------------------
+
+def _sum(C, K):
+    """C + K as extended mode forms it: empty when C is."""
+    return C if C.is_empty else minkowski_sum(C, K)
+
+
+def _check_tau_quantities(an, seen: dict) -> None:
+    try:
+        modulus = error_bound_modulus(an)
+    except NotApplicable:
+        pass
+    else:
+        # the polar of {h : g.h <= 0 for every gradient g} is cone(G)
+        W = _ball_slice_vertices(an, polar_cone(ConeSet(an.sublevel_cone)).body)
+        assert modulus == _best_tau_cells(W, an.clarke.vertices(), an.f.dim)
+        seen["modulus"] += 1
+    if not an.on_boundary:
+        return
+    # the normal cones as the cones module builds them from S itself
+    Nc = clarke_normal_cone(an.solution_set, an.x).body.canonical()
+    Nf = frechet_normal_cone(an.solution_set, an.x).body.canonical()
+    assert (an.normal_clarke.rows, an.normal_clarke.eqs) == (Nc.rows, Nc.eqs)
+    assert (an.normal_frechet.rows, an.normal_frechet.eqs) == (Nf.rows, Nf.eqs)
+    point0 = HPolyhedron.single_point(zeros(an.f.dim))
+    for mode, N, C, K in ((MODE_CLARKE, Nc, an.clarke.set, point0),
+                          (MODE_EXTENDED, Nc, an.clarke.set, an.singular.set),
+                          (MODE_FRECHET, Nf, an.frechet.set, point0)):
+        try:
+            table = strong_bcq_thresholds(an, mode)
+        except NotApplicable:
+            continue
+        W = _ball_slice_vertices(an, N)
+        assert table == tuple((v, _scaled_sum_threshold(v, C, K)) for v in W), mode
+        seen["thresholds"] += len(table)
+        seen["extended_nonzero_K"] += mode == MODE_EXTENDED and not an.singular_is_zero
+    for mode, N, sub in ((MODE_CLARKE, Nc, an.clarke), (MODE_FRECHET, Nf, an.frechet)):
+        try:
+            tau, _ = best_tau_directional(an, mode)
+        except NotApplicable:
+            continue
+        W = _ball_slice_vertices(an, N)
+        assert tau == _best_tau_cells(W, sub.vertices(), an.f.dim), mode
+        seen["directional"] += 1
+
+
+def test_tau_quantities_match_lp_references():
+    seen = dict.fromkeys(("thresholds", "extended_nonzero_K", "directional", "modulus"), 0)
+    for f, p in _corpus():
+        for norm in ("linf", "l1"):
+            _check_tau_quantities(Analysis(f, p, NormSpec(norm)), seen)
+    assert seen["thresholds"] >= 500 and seen["extended_nonzero_K"] >= 6, seen
+    assert seen["directional"] >= 100 and seen["modulus"] >= 60, seen
+
+
+_POINT1 = HPolyhedron.single_point(zeros(1))
+_INTERVAL12 = HPolyhedron(1, rows=[(vec(1), F(2)), (vec(-1), F(-1))])  # [1, 2]
+
+
+@pytest.mark.parametrize("z, C, K, expected", [
+    # z - k reaches C only as rec(C), at t = 0: the t-set is {0}
+    (vec(1, 0), HPolyhedron(2, eqs=[(vec(0, 1), F(1))]), HPolyhedron.single_point(zeros(2)),
+     INF),
+    # z in K: 0, also where no positive scale of C holds z
+    (vec(0), _INTERVAL12, _POINT1, F(0)),
+    (vec(5), HPolyhedron.empty(1), _RAY, F(0)),
+    # empty C
+    (vec(1), HPolyhedron.empty(1), _POINT1, INF),
+    (vec(-1), HPolyhedron.empty(1), _RAY, INF),
+    # unbounded C = [1, oo): the t-set [0, 1] reaches 0 and holds t > 0
+    (vec(1), HPolyhedron(1, rows=[(vec(-1), F(-1))]), _POINT1, F(0)),
+    # the same through K: C + K = [1, oo)
+    (vec(3), _INTERVAL12, _RAY, F(0)),
+    # an attained positive minimum, and an empty t-set
+    (vec(4), _INTERVAL12, _POINT1, F(2)),
+    (vec(-1), _INTERVAL12, _RAY, INF),
+])
+def test_vertex_threshold_cases(z, C, K, expected):
+    assert _scaled_sum_threshold(z, C, K) == expected
+    assert _vertex_threshold(z, _sum(C, K), K) == expected
+
+
+def test_extended_thresholds_use_the_sum_with_the_singular_cone():
+    # Proposition 3.2 (i) gives C + K = C at every point of a PL function, so
+    # no real instance tells C from C + K.  Here f = x + y at 0, with
+    # N cap B_dual = [0, (1/2, 1/2)], is given the stand-ins C = {(0, 1)} and
+    # K = [0, oo) x {0}: (1/2, 1/2) lies in [0,tau]C + K from tau = 1/2 on,
+    # but in no [0,tau]C.
+    an = Analysis(PLFunction(atom([1, 1])), vec(0, 0))
+    C = HPolyhedron.single_point(vec(0, 1))
+    K = HPolyhedron(2, rows=[(vec(-1, 0), F(0))], eqs=[(vec(0, 1), F(0))])
+    an.__dict__["clarke"] = SimpleNamespace(set=C)
+    an.__dict__["singular"] = SimpleNamespace(set=K)
+    table = strong_bcq_thresholds(an, MODE_EXTENDED)
+    assert table == tuple((v, _scaled_sum_threshold(v, C, K)) for v in an.clarke_ball_slice)
+    assert table == ((vec(0, 0), F(0)), (vec(F(1, 2), F(1, 2)), F(1, 2)))
+    assert _vertex_threshold(vec(F(1, 2), F(1, 2)), C, K) is INF

@@ -156,3 +156,46 @@ def test_endset_allows_l2_norm(tmp_path, capsys):
     path = write(tmp_path, "kink.json", KINK)
     assert main(["endset", path, "--set", "clarke", "--norm", "l2"]) == 0
     assert "distance = 0.5" in capsys.readouterr().out
+
+
+def _analyze_exit(tmp_path, capsys, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    rc = main(["analyze", str(path), "--out", str(tmp_path / "rep.json")])
+    return rc, capsys.readouterr().err
+
+
+def test_domain_row_of_unknown_type_is_an_input_error(tmp_path, capsys):
+    # a "ge" row was once read as "le", which analyzed a different instance
+    doc = dict(KINK, domain=[{"a": ["1"], "b": "0", "type": "ge"}])
+    rc, err = _analyze_exit(tmp_path, capsys, json.dumps(doc))
+    assert rc == 2 and "'ge'" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_non_object_document_is_an_input_error(tmp_path, capsys):
+    rc, err = _analyze_exit(tmp_path, capsys, json.dumps([KINK]))
+    assert rc == 2 and "JSON object" in err
+
+
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    doc = dict(KINK, expr={"op": "atom", "g": ["1/0"], "c": "0"})
+    rc, err = _analyze_exit(tmp_path, capsys, json.dumps(doc))
+    assert rc == 2 and "input error" in err
+
+
+def test_empty_domain_is_an_input_error(tmp_path, capsys):
+    # x <= -1 and -x <= -1 leave no point: f would be +inf everywhere
+    doc = dict(KINK, domain=[{"a": ["1"], "b": "-1"}, {"a": ["-1"], "b": "-1"}],
+               basepoints=[])
+    rc, err = _analyze_exit(tmp_path, capsys, json.dumps(doc))
+    assert rc == 2 and "empty domain" in err
+
+
+def test_deeply_nested_tree_is_an_input_error(tmp_path, capsys):
+    expr = '{"op": "atom", "g": ["1"], "c": "0"}'
+    for _ in range(3000):
+        expr = '{"op": "max", "args": [%s, {"op": "atom", "g": ["-1"], "c": "0"}]}' % expr
+    text = '{"version": 1, "name": "deep", "dim": 1, "expr": %s, "basepoints": [["0"]]}' % expr
+    rc, err = _analyze_exit(tmp_path, capsys, text)
+    assert rc == 2 and "nested too deeply" in err

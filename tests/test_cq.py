@@ -3,10 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from plcq import simplex
+from plcq import cq, simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
                      FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _ball_slice_vertices,
-                     _scaled_sum_threshold, analyze,
+                     analyze,
                      best_tau_directional, best_tau_endset, check_clarke_bcq,
                      check_extended_bcq,
                      check_frechet_bcq, check_strong_bcq, check_subdiff_in_normal,
@@ -18,7 +18,7 @@ from plcq.plfunc import PLFunction, atom, vmax, vmin
 from plcq.polyhedra import HPolyhedron, NormSpec
 from plcq.subdiff import NotLipschitz
 
-from test_battery_reference import _in_scaled_sum, _tau_grid
+from test_battery_reference import _in_scaled_sum, _scaled_sum_threshold, _tau_grid
 
 F = Fraction
 
@@ -195,26 +195,61 @@ def test_error_bound_modulus_examples():
 
 def test_directional_routes_computed_once(monkeypatch):
     calls = []
-    solve = simplex.lp_solve
+    cells = cq._refined_cells
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return cells(*args, **kwargs)
 
-    monkeypatch.setattr(simplex, "lp_solve", counting)
+    monkeypatch.setattr(cq, "_refined_cells", counting)
     an = kink_at_zero()
     first = best_tau_directional(an, MODE_CLARKE), error_bound_modulus(an)
-    n_lps = len(calls)
-    assert n_lps > 0
+    n_cells = len(calls)
+    assert n_cells == 2
     first[0][1].add("MUTATED")  # the flags handed out are a copy
     again = best_tau_directional(an, MODE_CLARKE), error_bound_modulus(an)
-    assert len(calls) == n_lps
+    assert len(calls) == n_cells
     assert again == ((2, set()), 2)
     fresh = kink_at_zero()
     assert again == (best_tau_directional(fresh, MODE_CLARKE), error_bound_modulus(fresh))
     # one N cap B_dual vertex list serves the threshold table and the routes
     assert an.clarke_ball_slice == tuple(_ball_slice_vertices(an, an.normal_clarke))
     assert tuple(v for v, _ in strong_bcq_thresholds(an, MODE_CLARKE)) == an.clarke_ball_slice
+
+
+def test_tau_quantities_solve_no_lp(monkeypatch):
+    ans = [Analysis(inst.f, p, NormSpec(norm))
+           for inst in (generate_corpus(3, 1, seed=31, max_atoms=6)
+                        + generate_corpus(2, 2, seed=32, max_atoms=5)
+                        + generate_corpus(4, 1, seed=33, extended=True, max_atoms=5)
+                        + generate_corpus(2, 2, seed=34, extended=True, max_atoms=4))
+           for p in inst.basepoints for norm in ("linf", "l1")]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a tau quantity solved an LP")
+    monkeypatch.setattr(simplex, "lp_solve", no_lp)
+    seen = {MODE_CLARKE: 0, MODE_EXTENDED: 0, MODE_FRECHET: 0, "directional": 0,
+            "modulus": 0}
+    for an in ans:
+        for mode in (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET):
+            try:
+                strong_bcq_thresholds(an, mode)
+                seen[mode] += 1
+            except NotApplicable:
+                pass
+        for mode in (MODE_CLARKE, MODE_FRECHET):
+            try:
+                best_tau_directional(an, mode)
+                seen["directional"] += 1
+            except NotApplicable:
+                pass
+        try:
+            error_bound_modulus(an)
+            seen["modulus"] += 1
+        except NotApplicable:
+            pass
+    assert all(n >= 4 for n in seen.values()), seen
+    assert not all(an.singular_is_zero for an in ans)
 
 
 def test_directional_memo_keeps_guards_and_flags():

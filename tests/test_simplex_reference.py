@@ -310,7 +310,7 @@ def test_captured_battery_lps_match_reference(monkeypatch, extended):
 
     monkeypatch.setattr(simplex, "lp_solve", recording)
     for dim in (1, 2):
-        for inst in generate_corpus(6, dim, seed=31 + dim, extended=extended, max_atoms=4,
+        for inst in generate_corpus(10, dim, seed=31 + dim, extended=extended, max_atoms=4,
                                     points_per_instance=1):
             for x in inst.basepoints:
                 verify_theorems(Analysis(inst.f, x))
