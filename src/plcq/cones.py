@@ -53,14 +53,14 @@ class LocalFaceAtlas:
     faces: list[AtlasFace]
 
 
-def face_atlas(A: UnionPolyhedron, a: Vec,
-               radius: Fraction = _ATLAS_RADIUS) -> LocalFaceAtlas:
+def face_atlas(A: UnionPolyhedron, a: Vec) -> LocalFaceAtlas:
     """Enumerate the contingent-cone classes of A near a.
 
     Each face is one nonempty sign class of the arrangement of all active
     constraint hyperplanes inside one of the local cones.  The tangent cone
-    of a class follows from its sign vector alone; the representative point
-    re-derives it from the definition as a consistency check.
+    of a class follows from its sign vector alone; the representative point,
+    at most _ATLAS_RADIUS from a and short of every inactive row of a piece
+    through a, re-derives it from the definition as a consistency check.
     """
     kpieces = local_cone_pieces(A, a)
     hyps: list[Vec] = []
@@ -107,7 +107,7 @@ def face_atlas(A: UnionPolyhedron, a: Vec,
 
     # inactive rows of the original pieces bound how far representatives may go
     def max_step(p: Vec) -> Fraction:
-        eps = radius / (1 + linf_norm(p))
+        eps = _ATLAS_RADIUS / (1 + linf_norm(p))
         for piece in A.pieces:
             if not piece.contains(a):
                 continue

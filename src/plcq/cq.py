@@ -125,10 +125,6 @@ class Analysis:
         return tuple(_ball_slice_vertices(self, self.normal_frechet))
 
     @cached_property
-    def gradients(self) -> list[Vec]:
-        return [g for _, g, _ in self.f.local_cells(self.x).cells]
-
-    @cached_property
     def regular(self) -> bool:
         if not self.lipschitz:
             raise NotLipschitz("regularity needs a Lipschitz point")
@@ -394,11 +390,6 @@ def _dirwise_tau(W: list[Vec], G: list[Vec], dim: int):
             if dot(w, l) != 0:
                 best = INF
     return best
-
-
-def _dirwise_strong_holds(W: list[Vec], G: list[Vec], tau, dim: int) -> bool:
-    """Does d(h,T) <= tau * max{0, phi-support(h)} hold for all h?"""
-    return _dirwise_tau(W, G, dim) <= Fraction(tau)
 
 
 def best_tau_directional(an: Analysis, mode: str):

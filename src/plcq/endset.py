@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import INF, Vec, dot, is_zero
+from .linalg import INF, Vec, dot, is_zero, zeros
 from .polyhedra import HPolyhedron, NormSpec, UnionPolyhedron, distance
 
 
@@ -56,39 +56,24 @@ def ray_exit(C: HPolyhedron, z: Vec):
     return hi
 
 
-def end_set(C: HPolyhedron, norm: NormSpec = NormSpec()) -> EndSetResult:
-    """E[C] with the distance of the origin to it, measured in `norm` (pass
-    the dual norm when C lives in the dual space)."""
-    Cc = C.canonical()
+def _end_faces(Cc: HPolyhedron) -> list[HPolyhedron]:
+    """Pieces of E[C] for canonical Cc: all of Cc when an equality has a
+    nonzero offset, else the facets with positive offset (empty for cones)."""
     if Cc.is_empty:
-        return EndSetResult(UnionPolyhedron([], C.dim), INF, norm)
+        return []
     if any(d != 0 for _, d in Cc.eqs):
-        pieces = UnionPolyhedron([Cc], C.dim)
-    else:
-        faces = []
-        for a, b in Cc.rows:
-            if b > 0:
-                faces.append(Cc.intersect(HPolyhedron(C.dim, eqs=[(a, b)])))
-        pieces = UnionPolyhedron(faces, C.dim).canonical()
-    if pieces.is_empty:
-        return EndSetResult(pieces, INF, norm)
-    return EndSetResult(pieces, distance_to_end_set(C, norm), norm)
+        return [Cc]
+    return [Cc.intersect(HPolyhedron(Cc.dim, eqs=[(a, b)])) for a, b in Cc.rows if b > 0]
+
+
+def end_set(C: HPolyhedron, norm: NormSpec = NormSpec()) -> EndSetResult:
+    """E[C] as canonical pieces, with the distance of the origin to them
+    measured in `norm` (pass the dual norm when C lives in the dual space)."""
+    pieces = UnionPolyhedron(_end_faces(C.canonical()), C.dim).canonical()
+    return EndSetResult(pieces, distance(zeros(C.dim), pieces, norm), norm)
 
 
 def distance_to_end_set(C: HPolyhedron, norm: NormSpec = NormSpec()):
-    """d(0, E[C]): one norm-minimization per positive-offset facet; INF for
-    cones and other sets with empty end set."""
-    Cc = C.canonical()
-    if Cc.is_empty:
-        return INF
-    origin = tuple(Fraction(0) for _ in range(C.dim))
-    if any(d != 0 for _, d in Cc.eqs):
-        return distance(origin, Cc, norm)
-    best = INF
-    for a, b in Cc.rows:
-        if b > 0:
-            face = Cc.intersect(HPolyhedron(C.dim, eqs=[(a, b)]))
-            if not face.is_empty:
-                val = distance(origin, face, norm)
-                best = min(best, val)
-    return best
+    """d(0, E[C]): one norm-minimization per end-set face; INF for cones and
+    other sets with empty end set."""
+    return distance(zeros(C.dim), UnionPolyhedron(_end_faces(C.canonical()), C.dim), norm)

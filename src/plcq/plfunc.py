@@ -10,8 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import INF, Vec, dot, neg, sub
+from .linalg import INF, Vec, add, dot, neg, sub
 from .polyhedra import HPolyhedron, UnionPolyhedron, union_subset
+
+
+_FLOAT_TOL = 1e-12  # slack of value_float's domain test
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,19 @@ def _sublevel_dnf(expr) -> list[list]:
     return out
 
 
+def _prune(expr, x: Vec):
+    """The tree of the children active at x, kept recursively: it agrees
+    with expr near x, and each of its atoms equals expr(x) at x."""
+    if isinstance(expr, Atom):
+        return expr
+    vals = [expr_value(ch, x) for ch in expr.children]
+    v = max(vals) if isinstance(expr, Max) else min(vals)
+    kids = tuple(_prune(ch, x) for ch, w in zip(expr.children, vals) if w == v)
+    if len(kids) == 1:
+        return kids[0]
+    return type(expr)(kids)
+
+
 def _lift_expr(expr):
     """expr'(x, r) = expr(x) - r, one dimension up."""
     if isinstance(expr, Atom):
@@ -109,7 +125,6 @@ class CellComplex:
     gradient for small t > 0."""
     cells: list  # (region: HPolyhedron cone, gradient: Vec, offset: Fraction)
     anchor: Vec
-    local: bool = True
 
 
 class PLFunction:
@@ -139,13 +154,13 @@ class PLFunction:
             return INF
         return expr_value(self.expr, x)
 
-    def value_float(self, x, tol: float = 1e-12) -> float:
+    def value_float(self, x) -> float:
         if self.domain is not None:
             for a, b in self.domain.rows:
-                if sum(float(q) * xi for q, xi in zip(a, x)) > float(b) + tol:
+                if sum(float(q) * xi for q, xi in zip(a, x)) > float(b) + _FLOAT_TOL:
                     return INF
             for e, d in self.domain.eqs:
-                if abs(sum(float(q) * xi for q, xi in zip(e, x)) - float(d)) > tol:
+                if abs(sum(float(q) * xi for q, xi in zip(e, x)) - float(d)) > _FLOAT_TOL:
                     return INF
         return expr_value_float(self.expr, x)
 
@@ -167,18 +182,16 @@ class PLFunction:
         return self._solution
 
     def epigraph(self) -> UnionPolyhedron:
-        """epi f = {(x, r) : f(x) <= r} in dimension n+1."""
+        """epi f = {(x, r) : f(x) <= r} in dimension n+1: the solution set of
+        the lifted function (x, r) -> f(x) - r on dom f x R."""
         if self._epigraph is None:
-            lifted = _lift_expr(self.expr)
-            pieces = []
-            dom_rows = []
-            dom_eqs = []
+            domain = None
             if self.domain is not None:
-                dom_rows = [(a + (Fraction(0),), b) for a, b in self.domain.rows]
-                dom_eqs = [(e + (Fraction(0),), d) for e, d in self.domain.eqs]
-            for conj in _sublevel_dnf(lifted):
-                pieces.append(HPolyhedron(self.dim + 1, list(conj) + dom_rows, dom_eqs))
-            self._epigraph = UnionPolyhedron(pieces, self.dim + 1).canonical()
+                domain = HPolyhedron(self.dim + 1,
+                                     [(a + (Fraction(0),), b) for a, b in self.domain.rows],
+                                     [(e + (Fraction(0),), d) for e, d in self.domain.eqs])
+            lifted = PLFunction(_lift_expr(self.expr), self.dim + 1, domain)
+            self._epigraph = lifted.solution_set()
         return self._epigraph
 
     # -- local structure ----------------------------------------------------------
@@ -205,15 +218,8 @@ class PLFunction:
             raise ValueError("directional derivative outside the domain")
         if not self.domain_cone(x).contains(h):
             return INF
-
-        def rec(expr):
-            if isinstance(expr, Atom):
-                return dot(expr.g, h)
-            v = expr_value(expr, x)
-            picked = [rec(ch) for ch in expr.children if expr_value(ch, x) == v]
-            return max(picked) if isinstance(expr, Max) else min(picked)
-
-        return rec(self.expr)
+        # every kept atom equals f(x) at x, and max/min commute with adding it
+        return expr_value(_prune(self.expr, x), add(x, h)) - expr_value(self.expr, x)
 
     def local_cells(self, x: Vec) -> CellComplex:
         """The affine pieces of f at x as direction cones with gradients.
@@ -227,8 +233,7 @@ class PLFunction:
         def rec(expr):
             if isinstance(expr, Atom):
                 return [((), expr.g)]
-            v = expr_value(expr, x)
-            parts = [rec(ch) for ch in expr.children if expr_value(ch, x) == v]
+            parts = [rec(ch) for ch in expr.children]
             is_max = isinstance(expr, Max)
             acc = parts[0]
             for part in parts[1:]:
@@ -250,7 +255,7 @@ class PLFunction:
         fx = expr_value(self.expr, x)
         cells = []
         seen = set()
-        for rows, g in rec(self.expr):
+        for rows, g in rec(_prune(self.expr, x)):
             region = HPolyhedron(self.dim, [(a, Fraction(0)) for a in rows]).intersect(dcone)
             if region.affine_dim() != reldim:
                 continue

@@ -409,7 +409,7 @@ def minkowski_sum(A: HPolyhedron, B: HPolyhedron) -> HPolyhedron:
     return hull(pts, va.rays + vb.rays, va.lines + vb.lines, A.dim)
 
 
-def segment_hull(C: HPolyhedron | None, r) -> HPolyhedron:
+def segment_hull(C: HPolyhedron, r) -> HPolyhedron:
     """Closure of [0,r]C = {t c : t in [0,r], c in C}, with [0,r]EMPTY = {0}.
 
     For polyhedral C this closure is conv({0} union rV) + cone(R) + span(L)
@@ -418,12 +418,7 @@ def segment_hull(C: HPolyhedron | None, r) -> HPolyhedron:
     r = Fraction(r)
     if r < 0:
         raise ValueError("scaling interval needs r >= 0")
-    if C is None or C.is_empty:
-        dim = C.dim if C is not None else None
-        if dim is None:
-            raise ValueError("need a dimension for the empty case")
-        return HPolyhedron.single_point(zeros(dim))
-    if r == 0:
+    if C.is_empty or r == 0:
         return HPolyhedron.single_point(zeros(C.dim))
     v = C.generators()
     pts = [zeros(C.dim)] + [scale(p, r) for p in v.vertices]
@@ -668,7 +663,6 @@ class NormSpec:
     """Which norm distances are measured in.  l1 and linf give exact
     (polyhedral) distances; l2 is evaluated as a float and flagged."""
     kind: str = "linf"
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.kind not in ("l1", "linf", "l2"):
@@ -680,9 +674,9 @@ class NormSpec:
 
     def dual(self) -> NormSpec:
         if self.kind == "l1":
-            return NormSpec("linf", self.tolerance)
+            return NormSpec("linf")
         if self.kind == "linf":
-            return NormSpec("l1", self.tolerance)
+            return NormSpec("l1")
         return self
 
     def value(self, v: Vec):
@@ -692,8 +686,10 @@ class NormSpec:
             return linf_norm(v)
         return float(sum(q * q for q in v)) ** 0.5
 
+    @lru_cache(maxsize=None)
     def ball(self, dim: int) -> HPolyhedron:
-        """The closed unit ball as a polyhedron (l1/linf only)."""
+        """The closed unit ball as a canonical polyhedron (l1/linf only),
+        built once per norm and dimension."""
         if self.kind == "linf":
             rows = []
             for i in range(dim):
@@ -748,40 +744,16 @@ def _poly_distance(x: Vec, P: HPolyhedron, norm: NormSpec):
         return INF
     if norm.kind == "l2":
         return float(_min_sqdist(x, P)) ** 0.5
-    if norm.kind == "linf":
-        nv = n + 1
-        rows = [(a + (Fraction(0),), b) for a, b in P.rows]
-        eqs = [(e + (Fraction(0),), d) for e, d in P.eqs]
-        for i in range(n):
-            ei = unit(nv, i)
-            rows.append((tuple(-q for q in ei[:n]) + (Fraction(-1),), -x[i]))
-            rows.append((ei[:n] + (Fraction(-1),), x[i]))
-        obj = zeros(n) + (Fraction(1),)
-        return _distance_lp(obj, rows, eqs, "linf")
-    # l1: one slack per coordinate
-    nv = 2 * n
-    rows = [(a + zeros(n), b) for a, b in P.rows]
-    eqs = [(e + zeros(n), d) for e, d in P.eqs]
-    for i in range(n):
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(-1)
-        row[n + i] = Fraction(-1)
-        rows.append((tuple(row), -x[i]))
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(1)
-        row[n + i] = Fraction(-1)
-        rows.append((tuple(row), x[i]))
-    obj = zeros(n) + tuple(Fraction(1) for _ in range(n))
-    return _distance_lp(obj, rows, eqs, "l1")
-
-
-def _distance_lp(obj: Vec, rows, eqs, kind: str) -> Fraction:
-    """Minimum of a distance LP over a nonempty polyhedron, which always has
-    one; any other outcome is a solver fault."""
-    res = simplex.lp_solve(obj, rows, eqs, sense="min")
+    # one LP for both polyhedral norms: minimize t over (p, t) with p in P
+    # and a.(x - p) <= t for every facet a.y <= 1 of the unit ball
+    rows = [(a + (Fraction(0),), b) for a, b in P.rows]
+    eqs = [(e + (Fraction(0),), d) for e, d in P.eqs]
+    rows += [(neg(a) + (Fraction(-1),), -dot(a, x)) for a, _ in norm.ball(n).rows]
+    res = simplex.lp_solve(zeros(n) + (Fraction(1),), rows, eqs, sense="min")
     if res.status != simplex.OPTIMAL:
+        # a nonempty polyhedron always has a nearest point
         raise RuntimeError("%s distance LP over a nonempty polyhedron returned %s"
-                           % (kind, res.status))
+                           % (norm.kind, res.status))
     return res.value
 
 

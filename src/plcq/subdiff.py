@@ -44,19 +44,19 @@ class SubdiffResult:
         return list(self.set.generators().vertices)
 
 
-def _epi_point(f: PLFunction, x: Vec) -> Vec:
+def _epi_slice(f: PLFunction, x: Vec, normal_cone, level) -> HPolyhedron:
+    """{x* : (x*, level) in normal_cone(epi f, (x, f(x)))}, canonical."""
     v = f.value(x)
     if v == float("inf"):
         raise ValueError("base point outside dom f")
-    return tuple(x) + (v,)
+    N = normal_cone(f.epigraph(), tuple(x) + (v,)).body
+    return N.slice_last(level).canonical()
 
 
 def clarke_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
     """{x* : (x*, -1) in N_c(epi f, (x, f(x)))}; at Lipschitz points this is
     conv{cell gradients} and both computations are required to coincide."""
-    z = _epi_point(f, x)
-    N = clarke_normal_cone(f.epigraph(), z).body
-    D = N.slice_last(Fraction(-1)).canonical()
+    D = _epi_slice(f, x, clarke_normal_cone, -1)
     if f.lipschitz_at(x):
         fast = hull([g for _, g, _ in f.local_cells(x).cells])
         if not fast.set_eq(D):
@@ -67,9 +67,7 @@ def clarke_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
 def clarke_singular_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
     """{x* : (x*, 0) in N_c(epi f, ...)}: a closed convex cone, {0} exactly
     at Lipschitz points."""
-    z = _epi_point(f, x)
-    N = clarke_normal_cone(f.epigraph(), z).body
-    D = N.slice_last(Fraction(0)).canonical()
+    D = _epi_slice(f, x, clarke_normal_cone, 0)
     if not (D.is_cone() and D.contains(zeros(f.dim))):
         raise RuntimeError("singular subdifferential is not a cone: a slice at 0 of "
                            "a normal cone must be one")
@@ -79,9 +77,7 @@ def clarke_singular_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
 def frechet_subdiff(f: PLFunction, x: Vec) -> SubdiffResult:
     """{x* : (x*, -1) in N^(epi f, ...)}; possibly empty.  For Lipschitz PL f
     it equals the intersection over local cells of gradient + (cell cone)°."""
-    z = _epi_point(f, x)
-    N = frechet_normal_cone(f.epigraph(), z).body
-    D = N.slice_last(Fraction(-1)).canonical()
+    D = _epi_slice(f, x, frechet_normal_cone, -1)
     if f.lipschitz_at(x):
         cross = HPolyhedron.full_space(f.dim)
         for region, g, _ in f.local_cells(x).cells:

@@ -16,7 +16,7 @@ import pytest
 from plcq.cli import main as cli_main
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
                      FLAG_ANY_TAU, FLAG_CONVENTION, _ball_slice_vertices,
-                     _dirwise_strong_holds, analyze, best_tau_directional,
+                     analyze, best_tau_directional,
                      best_tau_endset, check_clarke_bcq, check_frechet_bcq,
                      check_strong_bcq, endset_distance, error_bound_modulus,
                      verify_prop32, verify_theorems)
@@ -29,6 +29,8 @@ from plcq.oracle import (SamplePlan, sample_clarke_dirderiv,
                          sample_frechet_subgradient_check)
 from plcq.plfunc import PLFunction, atom, vmax, vmin
 from plcq.polyhedra import HPolyhedron, NormSpec
+
+from test_battery_reference import _dirwise_strong_holds
 
 F = Fraction
 GRID = F(1, 1024)
