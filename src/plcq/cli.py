@@ -1,7 +1,7 @@
 """Command line interface: analyze, verify, endset, oracle-compare.
 
 Exit codes: 0 success, 1 theorem-check failure (counterexample written),
-2 input error.
+2 input error, 3 internal error (a self-check of the engine failed).
 """
 
 from __future__ import annotations
@@ -127,12 +127,15 @@ def cmd_endset(args) -> int:
     out = {"engine": ENGINE, "instance": inst.name, "set": args.set, "reports": []}
     for p in inst.basepoints:
         an = Analysis(inst.f, p, space_norm)
+        label = ",".join(frac_str(q) for q in p)
         if args.set == "clarke":
             base = an.clarke.set
         elif args.set == "frechet":
             base = an.frechet.set
+        elif not an.in_solution_set:
+            raise InstanceError("basepoint %s is outside the solution set, so it has "
+                                "no normal cone for --set intersection" % label)
         else:
-            an.require_in_solution_set()
             base = an.clarke.set.intersect(an.normal_clarke)
         res = end_set(base, dual)
         entry = {
@@ -143,12 +146,10 @@ def cmd_endset(args) -> int:
         }
         out["reports"].append(entry)
         if res.is_empty:
-            print("basepoint %s: empty end set, distance = +inf"
-                  % ",".join(frac_str(q) for q in p))
+            print("basepoint %s: empty end set, distance = +inf" % label)
         else:
             print("basepoint %s: %d end-set piece(s), distance = %s"
-                  % (",".join(frac_str(q) for q in p), len(res.pieces.pieces),
-                     _jval(res.distance_to_origin)))
+                  % (label, len(res.pieces.pieces), _jval(res.distance_to_origin)))
     if args.out:
         _emit(out, args.out)
     return 0
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except (InstanceError, FileNotFoundError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Constraint qualification analysis of a PL inequality f(x) <= 0 at a point.
 
-Decides the plain, extended and Frechet BCQ and their tau-strong forms as
-exact polyhedral inclusions, computes infimal tau constants by two
+Decides the plain, extended and Frechet BCQ and their tau-strong forms from
+exact scaling thresholds, computes infimal tau constants by two
 independent routes (direction-wise ratios read off the generators of
 refined cones, and reciprocal end-set distances), the error-bound modulus
 of the linearized inequality, and replays the characterization theorems
@@ -23,8 +23,7 @@ from .cones import clarke_tangent_cone, contingent_cone
 from .endset import distance_to_end_set
 from .plfunc import PLFunction, is_boundary_point
 from .polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
-                        in_scaled_set, minkowski_sum, nonneg_hull, scale_interval,
-                        segment_hull)
+                        minkowski_sum, nonneg_hull, scale_interval, segment_hull)
 from .subdiff import (NotLipschitz, clarke_singular_subdiff, clarke_subdiff,
                       frechet_subdiff, is_regular)
 
@@ -77,6 +76,11 @@ class Analysis:
     @cached_property
     def lipschitz(self) -> bool:
         return self.f.lipschitz_at(self.x)
+
+    @cached_property
+    def origin(self) -> HPolyhedron:
+        """{0}, the singular cone of the plain and Frechet modes."""
+        return HPolyhedron.single_point(zeros(self.f.dim))
 
     @cached_property
     def dual_ball(self) -> HPolyhedron:
@@ -139,7 +143,7 @@ class Analysis:
 
     @cached_property
     def singular_is_zero(self) -> bool:
-        return self.singular.set.set_eq(HPolyhedron.single_point(zeros(self.f.dim)))
+        return self.singular.set.set_eq(self.origin)
 
     @cached_property
     def subdiff_in_normal(self) -> bool:
@@ -199,22 +203,8 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
-# scaled sums tC + K: exact thresholds and the lifted (z, t, k) system
+# scaled sums [0,tau]C + K: one threshold per point, one cone over C per set
 # ---------------------------------------------------------------------------
-
-def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
-    """Rows and equalities of z - k in tC, k in K, t >= 0 over (z, t, k), each
-    as (z part or None when it is zero, (t, k) part, right-hand side).  For
-    t > 0 the first block reads z - k in tC; at t = 0 it reads z - k in rec(C)."""
-    zero = Fraction(0)
-    # a.(z - k) <= t b, and k in K
-    rows = [(a, (-b,) + neg(a), zero) for a, b in C.rows]
-    eqs = [(e, (-d,) + neg(e), zero) for e, d in C.eqs]
-    rows += [(None, (zero,) + a, b) for a, b in K.rows]
-    eqs += [(None, (zero,) + e, d) for e, d in K.eqs]
-    rows.append((None, (Fraction(-1),) + zeros(C.dim), zero))
-    return rows, eqs
-
 
 def _vertex_threshold(z: Vec, CK: HPolyhedron, K: HPolyhedron):
     """t*(z) = inf{t > 0 : z in tC + K} for CK = C + K, so that z lies in
@@ -234,26 +224,41 @@ def _vertex_threshold(z: Vec, CK: HPolyhedron, K: HPolyhedron):
     return iv[0]
 
 
+def _hom(C: HPolyhedron) -> HPolyhedron:
+    """hom(C) = {(z, t) : t >= 0, a.z <= t b, e.z = t d} in R^(n+1), the
+    closed cone over nonempty C: its slice at t > 0 is tC, at t = 0 rec(C)."""
+    zero = Fraction(0)
+    rows = [(a + (-b,), zero) for a, b in C.rows] + [(zeros(C.dim) + (Fraction(-1),), zero)]
+    return HPolyhedron(C.dim + 1, rows, [(e + (-d,), zero) for e, d in C.eqs])
+
+
+def _scaled_part(P: HPolyhedron, r) -> HPolyhedron:
+    """{z : (z, t) in P, t <= r} for a cone P inside t >= 0."""
+    n = P.dim - 1
+    cap = HPolyhedron(P.dim, [(zeros(n) + (Fraction(1),), Fraction(r))])
+    return P.intersect(cap).project(tuple(range(n))).canonical()
+
+
 # ---------------------------------------------------------------------------
 # BCQ checks
 # ---------------------------------------------------------------------------
 
-def _cone_bcq(N: HPolyhedron, C: HPolyhedron):
-    """Decide N subset of [0,+oo)C for a closed convex cone N and convex C,
-    where [0,+oo)C = {0} when C is empty (flagged as the convention).
-    [0,+oo)C is a convex cone, so generator membership suffices; membership
-    of z != 0 is an exact one-dimensional scaling test, which stays correct
-    even when [0,+oo)C fails to be closed (unreachable recession directions).
+def _cone_bcq(N: HPolyhedron, CK: HPolyhedron, K: HPolyhedron):
+    """Decide N subset of [0,+oo)C + K for a closed convex cone N and a convex
+    cone K, given CK = C + K (empty when C is: then [0,+oo)C = {0}, flagged
+    as the convention).  The right side is a convex cone, so the inclusion
+    holds iff every generator of N (its rays, and +l and -l for each line l)
+    has a finite _vertex_threshold; exact even where the right side is not
+    closed.  When rec(C) is inside K it equals cl([0,+oo)C) + K.
 
-    Returns (holds, witness_or_None, flags)."""
+    Returns (holds, witness_or_None, flags), the witness the first generator
+    in that order with an infinite threshold."""
+    flags = {FLAG_CONVENTION} if CK.is_empty else set()
     v = N.generators()
-    if C.is_empty:
-        holds = N.set_eq(HPolyhedron.single_point(zeros(N.dim)))
-        return holds, None if holds else (v.rays + v.lines)[0], {FLAG_CONVENTION}
     for d in v.rays + tuple(x for l in v.lines for x in (l, neg(l))):
-        if not in_scaled_set(d, C, None, include_zero=True):
-            return False, d, set()
-    return True, None, set()
+        if _vertex_threshold(d, CK, K) is INF:
+            return False, d, flags
+    return True, None, flags
 
 
 def check_clarke_bcq(an: Analysis):
@@ -261,27 +266,20 @@ def check_clarke_bcq(an: Analysis):
 
     Returns (holds, witness_or_None, flags)."""
     an.require_boundary()
-    return _cone_bcq(an.normal_clarke, an.clarke.set)
+    return _cone_bcq(an.normal_clarke, an.clarke.set, an.origin)
 
 
 def check_extended_bcq(an: Analysis):
     """N_c(S, x) subset of [0,+oo)@c f(x) + @c^inf f(x)."""
     an.require_boundary()
     an.require_zero_level()
-    flags = set()
     sub, sing = an.clarke.set, an.singular.set
-    if sub.is_empty:
-        flags.add(FLAG_CONVENTION)
-        rhs = sing
-    else:
-        # recession of the subdifferential sits inside the singular cone, so
-        # the scaled hull plus the singular cone is closed
-        if sub.recession().subset_of(sing) is not True:
-            raise RuntimeError("recession cone of the Clarke subdifferential "
-                               "is not inside the singular cone")
-        rhs = minkowski_sum(nonneg_hull(sub), sing)
-    w = an.normal_clarke.subset_of(rhs)
-    return (True, None, flags) if w is True else (False, w, flags)
+    # recession of the subdifferential sits inside the singular cone, so the
+    # right side is closed
+    if not sub.is_empty and sub.recession().subset_of(sing) is not True:
+        raise RuntimeError("recession cone of the Clarke subdifferential "
+                           "is not inside the singular cone")
+    return _cone_bcq(an.normal_clarke, an.clarke_plus_singular, sing)
 
 
 def check_frechet_bcq(an: Analysis):
@@ -292,7 +290,7 @@ def check_frechet_bcq(an: Analysis):
     # Frechet normal of S; below it the inclusion need not hold
     if an.phi_value == 0 and not sub.is_empty and sub.subset_of(Nf) is not True:
         raise RuntimeError("Frechet subgradients must be Frechet normals")
-    return _cone_bcq(Nf, sub)
+    return _cone_bcq(Nf, sub, an.origin)
 
 
 def _strong_bcq_sets(an: Analysis, mode: str):
@@ -300,13 +298,13 @@ def _strong_bcq_sets(an: Analysis, mode: str):
     N cap B_dual subset of [0,tau]C + K, after the mode's hypothesis guards."""
     an.require_boundary()
     if mode == MODE_CLARKE:
-        return an.clarke_ball_slice, an.clarke.set, HPolyhedron.single_point(zeros(an.f.dim))
+        return an.clarke_ball_slice, an.clarke.set, an.origin
     if mode == MODE_EXTENDED:
         an.require_zero_level()
         return an.clarke_ball_slice, an.clarke_plus_singular, an.singular.set
     if mode == MODE_FRECHET:
         an.require_zero_level()
-        return an.frechet_ball_slice, an.frechet.set, HPolyhedron.single_point(zeros(an.f.dim))
+        return an.frechet_ball_slice, an.frechet.set, an.origin
     raise ValueError("unknown strong BCQ mode %r" % (mode,))
 
 
@@ -445,31 +443,27 @@ def endset_distance(an: Analysis, mode: str):
 
 
 def best_tau_endset(an: Analysis, mode: str):
-    """Infimal tau as 1/d(0, E[.]); requires the mode's BCQ (INF and
-    BCQ_FAILS otherwise); 0 with ANY_POSITIVE_TAU for empty end sets."""
+    """Infimal tau _endset_tau = 1/d(0, E[.]); requires the mode's BCQ (INF
+    and BCQ_FAILS otherwise); 0 with ANY_POSITIVE_TAU for empty end sets."""
     an.require_boundary()
-    flags = set()
     if mode == MODE_CLARKE:
         # the reciprocal end-set formula is backed by the Lipschitz theorem
         # and by its singular-free lsc variant; outside both it is unproven
         if not (an.lipschitz or (an.singular_is_zero and an.phi_value == 0)):
             raise NotApplicable("no end-set characterization at this point")
-        bcq, _, f = check_clarke_bcq(an)
+        bcq, _, flags = check_clarke_bcq(an)
     elif mode == MODE_EXTENDED:
-        bcq, _, f = check_extended_bcq(an)
+        bcq, _, flags = check_extended_bcq(an)
     else:
         an.require_zero_level()
         an.require_bounded_frechet()
-        bcq, _, f = check_frechet_bcq(an)
-    flags |= f
+        bcq, _, flags = check_frechet_bcq(an)
+    tau = _endset_tau(bcq, endset_distance(an, mode))
     if not bcq:
         flags.add(FLAG_BCQ_FAILS)
-        return INF, flags
-    d = endset_distance(an, mode)
-    if d is INF:
+    elif tau == 0:
         flags.add(FLAG_ANY_TAU)
-        return Fraction(0), flags
-    return 1 / d, flags
+    return tau, flags
 
 
 # ---------------------------------------------------------------------------
@@ -514,43 +508,10 @@ def error_bound_modulus(an: Analysis):
     an.require_lipschitz()
     if an._error_bound_modulus is None:
         G = an.clarke.vertices()
-        polar = nonneg_hull(an.clarke.set) if G else HPolyhedron.single_point(zeros(an.f.dim))
+        polar = nonneg_hull(an.clarke.set) if G else an.origin
         W = _ball_slice_vertices(an, polar)
         an._error_bound_modulus = _dirwise_tau(W, G, an.f.dim)
     return an._error_bound_modulus
-
-
-def _lifted_cone(C: HPolyhedron, K: HPolyhedron) -> HPolyhedron:
-    """{(z, t, k) : z - k in tC, k in K, t >= 0} in R^(2n+1), read at t = 0
-    as z - k in rec(C)."""
-    n = C.dim
-    rows, eqs = (
-        [((zeros(n) if za is None else za) + a, b) for za, a, b in block]
-        for block in _lifted_rows(C, K))
-    return HPolyhedron(2 * n + 1, rows, eqs)
-
-
-def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
-    """[0,r]C + K as the z-projection of the lifted polyhedron capped at
-    t <= r, valid whenever rec(C) is contained in K (checked by callers)."""
-    n = C.dim
-    lifted = _lifted_cone(C, K)
-    cap = HPolyhedron(lifted.dim, [(zeros(n) + (Fraction(1),) + zeros(n), Fraction(r))])
-    return lifted.intersect(cap).project(tuple(range(n))).canonical()
-
-
-def _half_open_sums_agree(C: HPolyhedron, K: HPolyhedron) -> bool:
-    """(0,r]C + K == (0,r]C for every r > 0, for nonempty C.
-
-    The projections onto (z, t) of the lifted polyhedra for K and for {0}
-    are the closures of their t > 0 parts, whose slices at t are tC + K and
-    tC, so they are equal iff tC + K = tC for every t > 0.  That gives the
-    identity at every r; conversely the identity puts c + lambda k in
-    (0,r]C for all lambda >= 0, which forces k into rec(C) and so
-    tC + K = tC.  No LP is solved."""
-    keep = tuple(range(C.dim + 1))
-    point0 = HPolyhedron.single_point(zeros(C.dim))
-    return _lifted_cone(C, K).project(keep).set_eq(_lifted_cone(C, point0).project(keep))
 
 
 def verify_prop32(an: Analysis, r) -> dict:
@@ -562,10 +523,14 @@ def verify_prop32(an: Analysis, r) -> dict:
     Hence (0,r]C + K = r((0,1]C + K), cl([0,r]C) = r cl([0,1]C),
     [0,r]C + K = r([0,1]C + K), and K inside rX iff K inside X: each
     identity holds at r iff it holds at r = 1, so one scale decides every
-    scale.  (i), (iii) and (iv) are polyhedral equalities or inclusions
-    between independently built sets at the given r; the half-open (ii) is
-    decided exactly by comparing two lifted cones (_half_open_sums_agree),
-    which needs no r at all."""
+    scale.  Each identity compares two independently built sets.
+
+    (ii) and the right side of (iv) read P = hom(C) + K x {0}, whose slice
+    at t > 0 is tC + K and at t = 0 is rec(C) + K = K, so {z : (z, t) in P,
+    t <= r} = [0,r]C + K.  P and hom(C) are the closures of their t > 0
+    parts, so P = hom(C) iff tC + K = tC for every t > 0: that is (ii) at
+    every r, and (ii) forces it (it puts c + lambda k in (0,r]C for all
+    lambda >= 0, so k is in rec(C)).  No LP is solved."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale must be positive")
@@ -579,8 +544,13 @@ def verify_prop32(an: Analysis, r) -> dict:
     out["i"] = minkowski_sum(sub, sing).set_eq(sub)
     closure = segment_hull(sub, r)
     out["iii"] = sing.subset_of(closure) is True
-    out["iv"] = closure.set_eq(_scaled_sum_projection(sub, sing, r))
-    out["ii"] = _half_open_sums_agree(sub, sing)
+    zero, hom = Fraction(0), _hom(sub)
+    flat = HPolyhedron(hom.dim, [(a + (zero,), b) for a, b in sing.rows],
+                       [(e + (zero,), d) for e, d in sing.eqs]
+                       + [(zeros(sub.dim) + (Fraction(1),), zero)])  # K x {0}
+    P = minkowski_sum(hom, flat)
+    out["iv"] = closure.set_eq(_scaled_part(P, r))
+    out["ii"] = P.set_eq(hom)
     return out
 
 
@@ -614,7 +584,7 @@ def _bcq_holds(an: Analysis, mode: str) -> bool:
 
 def _tau_endset(an: Analysis, mode: str):
     """1/d(0, E[.]) of the mode's end set."""
-    return _endset_tau(_bcq_holds(an, mode), endset_distance(an, mode))
+    return best_tau_endset(an, mode)[0]
 
 
 def _tau_subdiff_endset(an: Analysis, mode: str):
@@ -667,8 +637,7 @@ def _prop41(an: Analysis) -> bool:
     sub = an.frechet.set
     if sub.is_empty:
         raise NotApplicable("empty Frechet subdifferential")
-    point0 = HPolyhedron.single_point(zeros(an.f.dim))
-    return segment_hull(sub, 1).set_eq(_scaled_sum_projection(sub, point0, 1))
+    return segment_hull(sub, 1).set_eq(_scaled_part(_hom(sub), 1))
 
 
 def _prop42(an: Analysis) -> bool:

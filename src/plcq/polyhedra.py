@@ -465,25 +465,6 @@ def scale_interval(z: Vec, C: HPolyhedron) -> tuple | None:
     return (lo, hi)
 
 
-def in_scaled_set(z: Vec, C: HPolyhedron, r=None, include_zero=False) -> bool:
-    """Exact membership of z in (0,r]C (or [0,r]C with include_zero), where
-    r=None means +oo.  [0,r]C contains 0 by definition when C is nonempty;
-    (0,r]C contains 0 iff C does."""
-    if C.is_empty:
-        return include_zero and is_zero(z)
-    if is_zero(z):
-        return include_zero or C.contains(z)
-    iv = scale_interval(z, C)
-    if iv is None:
-        return False
-    lo, hi = iv
-    if r is not None:
-        hi = min(hi, Fraction(r)) if hi is not INF else Fraction(r)
-        if hi is not INF and lo > hi:
-            return False
-    return hi is INF or hi > 0
-
-
 # ---------------------------------------------------------------------------
 # unions
 # ---------------------------------------------------------------------------

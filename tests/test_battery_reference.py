@@ -12,7 +12,17 @@ Proposition 3.2 has its own reference route here: the three-scale
 `verify_prop32`, which decides the half-open identity (ii) with one
 `_in_scaled_sum` membership LP per point of a sampled battery, kept verbatim.
 The library decides all four identities once, at one scale, and (ii) by
-comparing two lifted cones; both must give the same verdicts.
+comparing the homogenization cone hom(C) with hom(C) + K x {0}; both must
+give the same verdicts.
+
+The scaled-set routes that the library replaced by one threshold per point
+and one cone over C per set are kept verbatim too: the lifted (z, t, k)
+cone in R^(2n+1) with its projections (`_lifted_rows`, `_lifted_cone`,
+`_scaled_sum_projection`, `_half_open_sums_agree`) and the one-scale
+Propositions 3.2 and 4.1 built on it, the scaled membership `in_scaled_set`
+behind the plain and Frechet BCQ, and the closed-hull extended BCQ.  They
+are compared with the library on the corpora and on seeded random triples
+(N, C, K) with rec(C) inside K, where the inclusions also fail.
 
 The tau quantities have LP reference routes here too, kept verbatim: the
 vertex threshold t*(z) of the strong BCQ as up to two LPs over the lifted
@@ -25,8 +35,10 @@ must give the same values.
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,25 +46,166 @@ from types import SimpleNamespace
 import pytest
 
 import plcq
-from plcq import cq, simplex
+from plcq import cq, polyhedra, simplex
 from plcq.cones import clarke_normal_cone, frechet_normal_cone
-from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis, NotApplicable,
-                     _ball_slice_vertices, _dirwise_tau, _endset_tau, _holds, _Identity,
-                     _lifted_rows, _probes, _refined_cells, _scaled_sum_projection,
-                     _vertex_threshold, best_tau_directional, best_tau_endset,
+from plcq.cq import (FLAG_CONVENTION, MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
+                     NotApplicable, _ball_slice_vertices, _dirwise_tau, _endset_tau, _holds,
+                     _Identity, _probes, _refined_cells, _vertex_threshold,
+                     best_tau_directional, best_tau_endset,
                      check_clarke_bcq, check_extended_bcq, check_frechet_bcq,
                      check_strong_bcq, check_subdiff_in_normal, check_tangent_inclusion,
                      endset_distance, error_bound_modulus, strong_bcq_thresholds,
                      verify_theorems)
 from plcq.instances import generate_corpus
-from plcq.linalg import INF, Vec, dot, is_zero, vec, zeros
+from plcq.linalg import INF, Vec, dot, is_zero, neg, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, in_scaled_set, minkowski_sum,
-                            polar_cone, segment_hull)
+from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, hull, minkowski_sum, nonneg_hull,
+                            polar_cone, scale_interval, segment_hull)
 from plcq.subdiff import NotLipschitz
+
+from conftest import random_polyhedron
 
 F = Fraction
 _GRID = Fraction(1, 1024)  # tightness certification grid 1 - 1/1024
+
+
+# ---------------------------------------------------------------------------
+# reference: the lifted (z, t, k) system and scaled membership, verbatim
+# ---------------------------------------------------------------------------
+
+def _lifted_rows(C: HPolyhedron, K: HPolyhedron):
+    """Rows and equalities of z - k in tC, k in K, t >= 0 over (z, t, k), each
+    as (z part or None when it is zero, (t, k) part, right-hand side).  For
+    t > 0 the first block reads z - k in tC; at t = 0 it reads z - k in rec(C)."""
+    zero = Fraction(0)
+    # a.(z - k) <= t b, and k in K
+    rows = [(a, (-b,) + neg(a), zero) for a, b in C.rows]
+    eqs = [(e, (-d,) + neg(e), zero) for e, d in C.eqs]
+    rows += [(None, (zero,) + a, b) for a, b in K.rows]
+    eqs += [(None, (zero,) + e, d) for e, d in K.eqs]
+    rows.append((None, (Fraction(-1),) + zeros(C.dim), zero))
+    return rows, eqs
+
+
+def _lifted_cone(C: HPolyhedron, K: HPolyhedron) -> HPolyhedron:
+    """{(z, t, k) : z - k in tC, k in K, t >= 0} in R^(2n+1), read at t = 0
+    as z - k in rec(C)."""
+    n = C.dim
+    rows, eqs = (
+        [((zeros(n) if za is None else za) + a, b) for za, a, b in block]
+        for block in _lifted_rows(C, K))
+    return HPolyhedron(2 * n + 1, rows, eqs)
+
+
+def _scaled_sum_projection(C: HPolyhedron, K: HPolyhedron, r) -> HPolyhedron:
+    """[0,r]C + K as the z-projection of the lifted polyhedron capped at
+    t <= r, valid whenever rec(C) is contained in K (checked by callers)."""
+    n = C.dim
+    lifted = _lifted_cone(C, K)
+    cap = HPolyhedron(lifted.dim, [(zeros(n) + (Fraction(1),) + zeros(n), Fraction(r))])
+    return lifted.intersect(cap).project(tuple(range(n))).canonical()
+
+
+def _half_open_sums_agree(C: HPolyhedron, K: HPolyhedron) -> bool:
+    """(0,r]C + K == (0,r]C for every r > 0, for nonempty C.
+
+    The projections onto (z, t) of the lifted polyhedra for K and for {0}
+    are the closures of their t > 0 parts, whose slices at t are tC + K and
+    tC, so they are equal iff tC + K = tC for every t > 0.  That gives the
+    identity at every r; conversely the identity puts c + lambda k in
+    (0,r]C for all lambda >= 0, which forces k into rec(C) and so
+    tC + K = tC.  No LP is solved."""
+    keep = tuple(range(C.dim + 1))
+    point0 = HPolyhedron.single_point(zeros(C.dim))
+    return _lifted_cone(C, K).project(keep).set_eq(_lifted_cone(C, point0).project(keep))
+
+
+def lifted_verify_prop32(an, r) -> dict:
+    """The four subdifferential/singular-cone identities at scale r > 0, for
+    C = @c f(x) and K = @c^inf f(x): (i) C + rK = C, (ii) (0,r]C + K =
+    (0,r]C, (iii) K inside cl((0,r]C), (iv) cl([0,r]C) = [0,r]C + K, with
+    (ii) and (iv) read off the lifted cone."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("scale must be positive")
+    sub, sing = an.clarke.set, an.singular.set
+    if sub.is_empty:
+        raise NotApplicable("empty Clarke subdifferential")
+    if sub.recession().subset_of(sing) is not True:
+        raise RuntimeError("recession cone of the Clarke subdifferential "
+                           "is not inside the singular cone")
+    out = {}
+    out["i"] = minkowski_sum(sub, sing).set_eq(sub)
+    closure = segment_hull(sub, r)
+    out["iii"] = sing.subset_of(closure) is True
+    out["iv"] = closure.set_eq(_scaled_sum_projection(sub, sing, r))
+    out["ii"] = _half_open_sums_agree(sub, sing)
+    return out
+
+
+def lifted_prop41(an) -> bool:
+    """cl([0,1]C) = [0,1]C for the Frechet subdifferential C; by the scaling
+    lemma with K = {0} this decides every scale r > 0."""
+    sub = an.frechet.set
+    if sub.is_empty:
+        raise NotApplicable("empty Frechet subdifferential")
+    point0 = HPolyhedron.single_point(zeros(an.f.dim))
+    return segment_hull(sub, 1).set_eq(_scaled_sum_projection(sub, point0, 1))
+
+
+def in_scaled_set(z: Vec, C: HPolyhedron, r=None, include_zero=False) -> bool:
+    """Exact membership of z in (0,r]C (or [0,r]C with include_zero), where
+    r=None means +oo.  [0,r]C contains 0 by definition when C is nonempty;
+    (0,r]C contains 0 iff C does."""
+    if C.is_empty:
+        return include_zero and is_zero(z)
+    if is_zero(z):
+        return include_zero or C.contains(z)
+    iv = scale_interval(z, C)
+    if iv is None:
+        return False
+    lo, hi = iv
+    if r is not None:
+        hi = min(hi, Fraction(r)) if hi is not INF else Fraction(r)
+        if hi is not INF and lo > hi:
+            return False
+    return hi is INF or hi > 0
+
+
+def scaling_cone_bcq(N: HPolyhedron, C: HPolyhedron):
+    """Decide N subset of [0,+oo)C for a closed convex cone N and convex C,
+    where [0,+oo)C = {0} when C is empty (flagged as the convention).
+    [0,+oo)C is a convex cone, so generator membership suffices; membership
+    of z != 0 is an exact one-dimensional scaling test, which stays correct
+    even when [0,+oo)C fails to be closed (unreachable recession directions).
+
+    Returns (holds, witness_or_None, flags)."""
+    v = N.generators()
+    if C.is_empty:
+        holds = N.set_eq(HPolyhedron.single_point(zeros(N.dim)))
+        return holds, None if holds else (v.rays + v.lines)[0], {FLAG_CONVENTION}
+    for d in v.rays + tuple(x for l in v.lines for x in (l, neg(l))):
+        if not in_scaled_set(d, C, None, include_zero=True):
+            return False, d, set()
+    return True, None, set()
+
+
+def closed_hull_cone_bcq(N: HPolyhedron, sub: HPolyhedron, sing: HPolyhedron):
+    """N subset of [0,+oo)C + K through the closed hull cl([0,+oo)C) + K, as
+    check_extended_bcq decided it (after its guards)."""
+    flags = set()
+    if sub.is_empty:
+        flags.add(FLAG_CONVENTION)
+        rhs = sing
+    else:
+        # recession of the subdifferential sits inside the singular cone, so
+        # the scaled hull plus the singular cone is closed
+        if sub.recession().subset_of(sing) is not True:
+            raise RuntimeError("recession cone of the Clarke subdifferential "
+                               "is not inside the singular cone")
+        rhs = minkowski_sum(nonneg_hull(sub), sing)
+    w = N.subset_of(rhs)
+    return (True, None, flags) if w is True else (False, w, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +856,142 @@ def test_prop32_and_prop41_use_one_scale(monkeypatch):
     assert cq._prop32(Analysis(PLFunction(atom([1]), domain=dom), vec(0)))
     assert seen == [1]
     seen.clear()
-    real_projection = cq._scaled_sum_projection
-    monkeypatch.setattr(cq, "_scaled_sum_projection",
-                        lambda C, K, r: seen.append(r) or real_projection(C, K, r))
+    real_part = cq._scaled_part
+    monkeypatch.setattr(cq, "_scaled_part", lambda P, r: seen.append(r) or real_part(P, r))
     assert cq._prop41(Analysis(PLFunction(vmax(atom([-1]), atom([F(1, 2)]))), vec(0)))
     assert seen == [1]
+
+
+# ---------------------------------------------------------------------------
+# one threshold per point and one cone over C per set against the lifted,
+# scaled-membership and closed-hull references
+# ---------------------------------------------------------------------------
+
+def _random_vector(rng, dim):
+    while True:
+        v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+        if not is_zero(v):
+            return v
+
+
+def _random_cone(rng, dim, rays=(), lines=()):
+    """cone(rays) + span(lines) plus up to two random rays and one line."""
+    rays = list(rays) + [_random_vector(rng, dim) for _ in range(rng.randint(0, 2))]
+    lines = list(lines) + [_random_vector(rng, dim) for _ in range(rng.random() < 0.3)]
+    return hull([zeros(dim)], rays, lines, dim)
+
+
+def _random_triples(seed: int, count: int):
+    """(N, C, K): a cone N, a polyhedron C (empty now and then) and a cone K
+    holding rec(C), in dims 1-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.choice((1, 2, 2, 3))
+        C = random_polyhedron(rng, dim, rng.choice(("polytope", "mixed", "mixed")))
+        rec = C.recession().generators() if not C.is_empty else None
+        K = _random_cone(rng, dim, rec.rays if rec else (), rec.lines if rec else ())
+        yield _random_cone(rng, dim), C, K
+
+
+def _ray(w):
+    return hull([zeros(len(w))], [w], (), len(w))
+
+
+def _check_bcq(N, C, K, seen: Counter):
+    """The plain/Frechet form (K = {0}) against the scaling reference, and
+    the extended form against the closed hull, which it equals when rec(C)
+    is inside K."""
+    origin = HPolyhedron.single_point(zeros(N.dim))
+    got = cq._cone_bcq(N, C, origin)
+    assert got == scaling_cone_bcq(N, C)
+    seen["plain_fails"] += not got[0]
+    holds, w, flags = cq._cone_bcq(N, _sum(C, K), K)
+    ref = closed_hull_cone_bcq(N, C, K)
+    assert (holds, flags) == (ref[0], ref[2])
+    if not holds:
+        assert not closed_hull_cone_bcq(_ray(w), C, K)[0]
+    seen["extended_fails"] += not holds
+    # lines with only one direction inside [0,+oo)C, which a test of +l alone
+    # would pass
+    for l in N.generators().lines:
+        seen["one_sided_lines"] += (in_scaled_set(l, C, None, include_zero=True)
+                                    != in_scaled_set(neg(l), C, None, include_zero=True))
+
+
+def test_bcq_matches_references_on_corpora():
+    seen = Counter()
+    for f, p in _corpus():
+        an = Analysis(f, p)
+        if not an.on_boundary:
+            continue
+        assert check_clarke_bcq(an) == scaling_cone_bcq(an.normal_clarke, an.clarke.set)
+        assert check_frechet_bcq(an) == scaling_cone_bcq(an.normal_frechet, an.frechet.set)
+        if an.phi_value == 0:
+            holds, w, flags = check_extended_bcq(an)
+            ref = closed_hull_cone_bcq(an.normal_clarke, an.clarke.set, an.singular.set)
+            assert (holds, w is None, flags) == (ref[0], ref[1] is None, ref[2])
+            seen["extended"] += 1
+        _check_bcq(an.normal_clarke, an.clarke.set, an.singular.set, seen)
+        seen["points"] += 1
+    assert seen["points"] >= 40 and seen["extended"] >= 30 and seen["plain_fails"] >= 3, seen
+
+
+def test_bcq_matches_references_on_random_triples():
+    seen = Counter()
+    for N, C, K in _random_triples(71, 120):
+        _check_bcq(N, C, K, seen)
+    assert seen["plain_fails"] >= 20 and seen["extended_fails"] >= 10, seen
+    assert seen["one_sided_lines"] >= 3, seen
+
+
+def _check_props(an, seen: Counter):
+    for r in (F(1), F(1, 2)):
+        got = cq.verify_prop32(an, r)
+        assert got == lifted_verify_prop32(an, r), r
+    seen.update(name for name, holds in got.items() if not holds)
+    if not an.frechet.set.is_empty:
+        assert cq._prop41(an) == lifted_prop41(an)
+        seen["prop41"] += 1
+
+
+def test_prop32_and_prop41_match_lifted_reference_on_corpora():
+    seen = Counter()
+    for f, p in _corpus():
+        an = Analysis(f, p)
+        if not an.clarke.set.is_empty:
+            _check_props(an, seen)
+    assert seen["prop41"] >= 40, seen
+
+
+def test_prop32_and_prop41_match_lifted_reference_on_random_pairs():
+    seen = Counter()
+    for _, C, K in _random_triples(72, 60):
+        if not C.is_empty:
+            an = _sets(C, K)
+            an.frechet = SimpleNamespace(set=C)
+            _check_props(an, seen)
+    assert seen["prop41"] >= 40 and seen["ii"] >= 10 and seen["iv"] >= 1, seen
+
+
+def test_prop32_and_prop41_stay_in_dimension_n_plus_1(monkeypatch):
+    # hom(C) + K x {0} lives in R^(n+1), so no conversion goes beyond the
+    # homogenized R^(n+2); the lifted (z, t, k) cone needed R^(2n+2)
+    ans = [Analysis(f, p) for f, p in _corpus()]
+    ans = [an for an in ans if not an.clarke.set.is_empty and not an.frechet.set.is_empty]
+    for _, C, K in _random_triples(73, 40):
+        if not C.is_empty:
+            an = _sets(C, K)
+            an.frechet = SimpleNamespace(set=C)
+            ans.append(an)
+    assert len(ans) >= 80 and sum(an.f.dim == 3 for an in ans) >= 10
+    dims = []
+    real = polyhedra.dd_cone
+    monkeypatch.setattr(polyhedra, "dd_cone", lambda cons, dim: dims.append(dim) or real(cons, dim))
+    for an in ans:
+        dims.clear()
+        cq.verify_prop32(an, 1)
+        cq._prop41(an)
+        assert dims and max(dims) <= an.f.dim + 2, dims
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,25 @@ def test_deeply_nested_tree_is_an_input_error(tmp_path, capsys):
     text = '{"version": 1, "name": "deep", "dim": 1, "expr": %s, "basepoints": [["0"]]}' % expr
     rc, err = _analyze_exit(tmp_path, capsys, text)
     assert rc == 2 and "nested too deeply" in err
+
+
+def test_endset_intersection_outside_solution_set_is_an_input_error(tmp_path, capsys):
+    # max(-x, x/2) is 1/2 at x = 1, outside S: there is no normal cone there
+    path = write(tmp_path, "kink.json", KINK)
+    assert main(["endset", path, "--basepoint", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: basepoint 1 is outside the solution set")
+    assert err.count("\n") == 1
+
+
+def test_failed_self_check_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # -|x| at 0: @c f(0) = [-1, 1] is not inside N_c(S, 0) = {0}; a sublevel
+    # cone that wrongly holds the tangent cone R breaks the duality self-check
+    from plcq.cq import Analysis
+    from plcq.polyhedra import HPolyhedron
+    monkeypatch.setattr(Analysis, "sublevel_cone", property(lambda an: HPolyhedron(1)))
+    path = write(tmp_path, "r31.json", REMARK31)
+    assert main(["analyze", path, "--out", str(tmp_path / "rep.json")]) == 3
+    assert capsys.readouterr().err == ("internal error: "
+                                       "subdifferential/tangent-cone duality failed\n")
+    assert not (tmp_path / "rep.json").exists()

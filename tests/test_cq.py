@@ -6,6 +6,7 @@ import pytest
 from plcq import cq, simplex
 from plcq.cq import (MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, Analysis,
                      FLAG_ANY_TAU, FLAG_CONVENTION, NotApplicable, _ball_slice_vertices,
+                     _vertex_threshold,
                      analyze,
                      best_tau_directional, best_tau_endset, check_clarke_bcq,
                      check_extended_bcq,
@@ -109,6 +110,21 @@ def test_thresholds_match_per_tau_lps():
                     assert (t <= tau) == _in_scaled_sum(v, C, K, tau, include_zero=True)
             checked[mode] += 1
     assert all(n >= 3 for n in checked.values()), checked
+
+
+def test_vertex_threshold_strictness():
+    # t*(z) = inf{t > 0 : z in tC + K}: 0 lies in every [0,tau]C through
+    # t = 0, even where no t > 0 reaches it
+    point0 = HPolyhedron.single_point(zeros(1))
+    ray1 = HPolyhedron(1, rows=[(vec(-1), F(-1))])  # [1, oo)
+    assert _vertex_threshold(vec(0), ray1, point0) == 0
+    assert _vertex_threshold(vec(F(1, 2)), ray1, point0) == 0  # t in [0, 1/2]
+    assert _vertex_threshold(vec(-1), ray1, point0) is INF
+    assert _vertex_threshold(vec(0), interval(0, 1), point0) == 0
+    assert _vertex_threshold(vec(2), interval(0, 1), point0) == 2  # attained
+    # a recession direction reached at t = 0 only has no threshold
+    line = HPolyhedron(2, eqs=[(vec(0, 1), F(1))])
+    assert _vertex_threshold(vec(1, 0), line, HPolyhedron.single_point(zeros(2))) is INF
 
 
 def test_threshold_cases():

@@ -12,7 +12,7 @@ import plcq
 from plcq import simplex
 from plcq.linalg import INF, add, dot, scale, vec, zeros
 from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron, VRep,
-                            distance, hull, in_scaled_set, minkowski_sum,
+                            distance, hull, minkowski_sum,
                             nonneg_hull, polar_cone, segment_hull,
                             support_function, union_subset, union_set_eq)
 
@@ -191,15 +191,6 @@ def test_segment_hull_sampled_identity(rng):
             t = F(rng.randint(0, 8), 8) * r
             assert H.contains(scale(c, t))
             count += 1
-
-
-def test_in_scaled_set_strictness():
-    ray1 = HPolyhedron(1, rows=[(vec(-1), F(-1))])  # [1, oo)
-    assert not in_scaled_set(vec(0), ray1, 1)            # 0 unreachable at t > 0
-    assert in_scaled_set(vec(0), ray1, 1, include_zero=True)
-    assert in_scaled_set(vec(F(1, 2)), ray1, 1)
-    I01 = HPolyhedron(1, rows=[(vec(1), F(1)), (vec(-1), F(0))])
-    assert in_scaled_set(vec(0), I01, 1)                 # 0 in C itself
 
 
 def test_nonneg_hull():
