@@ -10,8 +10,8 @@ from .plfunc import Atom, CellComplex, Max, Min, PLFunction, atom, vmax, vmin, i
 from .cones import (LocalFaceAtlas, clarke_normal_cone, clarke_tangent_cone,
                     contingent_cone, face_atlas, frechet_normal_cone)
 from .subdiff import (NotLipschitz, SubdiffResult, clarke_dirderiv,
-                      clarke_singular_subdiff, clarke_subdiff, dirderiv,
-                      frechet_subdiff, is_regular)
+                      clarke_singular_subdiff, clarke_subdiff, frechet_subdiff,
+                      is_regular)
 from .endset import EndSetResult, distance_to_end_set, end_set, ray_exit
 from .cq import (Analysis, CQReport, NotApplicable, analyze, best_tau_directional,
                  best_tau_endset, check_clarke_bcq, check_extended_bcq,

@@ -90,6 +90,12 @@ def _parse_basepoint(spec: str, dim: int):
     return parts
 
 
+def _require_polyhedral_norm(inst: Instance) -> None:
+    if not inst.norm.is_exact:
+        raise InstanceError("%s: CQ analysis needs a polyhedral norm (l1 or linf); "
+                            "l2 is available for end-set distances only" % inst.name)
+
+
 def _load(args) -> Instance:
     inst = load_instance(args.instance)
     if getattr(args, "norm", None):
@@ -111,9 +117,7 @@ def _load(args) -> Instance:
 
 def cmd_analyze(args) -> int:
     inst = _load(args)
-    if not inst.norm.is_exact:
-        raise InstanceError("CQ analysis needs a polyhedral norm (l1 or linf); "
-                            "l2 is available for end-set distances only")
+    _require_polyhedral_norm(inst)
     reports = [report_to_obj(analyze(inst.f, p, inst.norm)) for p in inst.basepoints]
     _emit({"engine": ENGINE, "instance": inst.name, "reports": reports}, args.out)
     return 0
@@ -157,13 +161,18 @@ def cmd_endset(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.generate:
-        instances = generate_corpus(args.generate, args.dim, args.seed,
-                                    extended=args.extended)
+        try:
+            instances = generate_corpus(args.generate, args.dim, args.seed,
+                                        extended=args.extended)
+        except ValueError as e:
+            raise InstanceError(str(e)) from None
     elif args.corpus:
         paths = sorted(Path(args.corpus).glob("*.json"))
         instances = [load_instance(p) for p in paths]
     else:
         instances = []
+    for inst in instances:
+        _require_polyhedral_norm(inst)
     results = []
     tally: dict[str, dict[str, int]] = {}
     failure = None
@@ -213,6 +222,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     inst = _load(args)
+    _require_polyhedral_norm(inst)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
     rng = random.Random(args.seed)
     agree = 0

@@ -633,7 +633,11 @@ def _prop32(an: Analysis) -> bool:
 
 def _prop41(an: Analysis) -> bool:
     """cl([0,1]C) = [0,1]C for the Frechet subdifferential C; by the scaling
-    lemma with K = {0} this decides every scale r > 0."""
+    lemma with K = {0} this decides every scale r > 0.  Both sides are
+    constructions of cl([0,1]C): segment_hull, from the generators of C, and
+    the t <= 1 part of hom(C), which is closed and lies between [0,1]C and
+    its closure.  So the row cannot fail for a correct engine; it
+    cross-checks those two constructions."""
     sub = an.frechet.set
     if sub.is_empty:
         raise NotApplicable("empty Frechet subdifferential")

@@ -232,6 +232,9 @@ def generate_corpus(count: int, dim: int, seed: int, extended: bool = False,
                     max_atoms: int = 6, points_per_instance: int = 2) -> list[Instance]:
     """Deterministic list of `count` instances with at least one boundary
     basepoint each."""
+    if dim < 1:
+        # _random_atom draws until it gets a nonzero gradient, and R^0 has none
+        raise ValueError("corpus dimension must be at least 1, got %d" % dim)
     rng = random.Random(seed)
     out: list[Instance] = []
     attempts = 0

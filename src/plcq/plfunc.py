@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import INF, Vec, add, dot, neg, sub
+from .linalg import INF, Vec, dot, neg, sub, zeros
 from .polyhedra import HPolyhedron, UnionPolyhedron, union_subset
 
 
@@ -95,19 +95,6 @@ def _sublevel_dnf(expr) -> list[list]:
     for p in parts[1:]:
         out = [c1 + c2 for c1 in out for c2 in p]
     return out
-
-
-def _prune(expr, x: Vec):
-    """The tree of the children active at x, kept recursively: it agrees
-    with expr near x, and each of its atoms equals expr(x) at x."""
-    if isinstance(expr, Atom):
-        return expr
-    vals = [expr_value(ch, x) for ch in expr.children]
-    v = max(vals) if isinstance(expr, Max) else min(vals)
-    kids = tuple(_prune(ch, x) for ch, w in zip(expr.children, vals) if w == v)
-    if len(kids) == 1:
-        return kids[0]
-    return type(expr)(kids)
 
 
 def _lift_expr(expr):
@@ -211,24 +198,38 @@ class PLFunction:
             return HPolyhedron.full_space(self.dim)
         return self.domain.direction_cone(x)
 
-    def dirderiv(self, x: Vec, h: Vec):
-        """One-sided directional derivative f'(x; h); +INF when x + t h leaves
-        the domain for every small t > 0."""
+    def germ(self, x: Vec) -> PLFunction:
+        """The germ of f at x: h -> f(x + h) - f(x) near h = 0, i.e. f'(x; .)
+        on the domain cone at x.  Its tree keeps the children active at x,
+        recursively, with every atom's offset dropped (each kept atom equals
+        f(x) at x, and max/min commute with subtracting it)."""
         if not self.in_domain(x):
-            raise ValueError("directional derivative outside the domain")
-        if not self.domain_cone(x).contains(h):
-            return INF
-        # every kept atom equals f(x) at x, and max/min commute with adding it
-        return expr_value(_prune(self.expr, x), add(x, h)) - expr_value(self.expr, x)
+            raise ValueError("germ at a point outside the domain")
+
+        def rec(expr):
+            if isinstance(expr, Atom):
+                return Atom(expr.g, Fraction(0))
+            vals = [expr_value(ch, x) for ch in expr.children]
+            v = max(vals) if isinstance(expr, Max) else min(vals)
+            kids = tuple(rec(ch) for ch, w in zip(expr.children, vals) if w == v)
+            return kids[0] if len(kids) == 1 else type(expr)(kids)
+
+        domain = None if self.domain is None else self.domain.direction_cone(x)
+        return PLFunction(rec(self.expr), self.dim, domain)
+
+    def dirderiv(self, x: Vec, h: Vec):
+        """One-sided directional derivative f'(x; h): the germ at x evaluated
+        at h, so +INF when x + t h leaves the domain for every small t > 0."""
+        return self.germ(x).value(h)
 
     def local_cells(self, x: Vec) -> CellComplex:
-        """The affine pieces of f at x as direction cones with gradients.
+        """The affine pieces of the germ of f at x, as direction cones with
+        gradients.
 
         Cells are full-dimensional relative to the domain cone at x, cover
         it, and on each cell f(x + th) = f(x) + t g.h for small t > 0.
         """
-        if not self.in_domain(x):
-            raise ValueError("local cells at a point outside the domain")
+        germ = self.germ(x)
 
         def rec(expr):
             if isinstance(expr, Atom):
@@ -250,12 +251,12 @@ class PLFunction:
                 acc = nxt
             return acc
 
-        dcone = self.domain_cone(x)
+        dcone = germ.domain_cone(zeros(self.dim))
         reldim = dcone.affine_dim()
         fx = expr_value(self.expr, x)
         cells = []
         seen = set()
-        for rows, g in rec(_prune(self.expr, x)):
+        for rows, g in rec(germ.expr):
             region = HPolyhedron(self.dim, [(a, Fraction(0)) for a in rows]).intersect(dcone)
             if region.affine_dim() != reldim:
                 continue

@@ -1,10 +1,11 @@
 """Clarke, Frechet and Clarke-singular subdifferentials of PL functions.
 
-All three are horizontal slices of normal cones of the epigraph at
-(x, f(x)): Clarke and Frechet subgradients pair with -1, singular ones
-with 0.  At Lipschitz points two independent fast paths (convex hull of
-cell gradients, intersection of gradient-shifted cell polars) must agree
-exactly with the epigraph slices, and any disagreement raises.
+All three are horizontal slices of normal cones of the epigraph of the
+germ of f at x, taken at the origin: Clarke and Frechet subgradients pair
+with -1, singular ones with 0.  At Lipschitz points two further routes
+(convex hull of cell gradients, intersection of gradient-shifted cell
+polars) must agree exactly with the epigraph slices, and any disagreement
+raises.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ class SubdiffResult:
 
 
 def _epi_slice(f: PLFunction, x: Vec, normal_cone, level) -> HPolyhedron:
-    """{x* : (x*, level) in normal_cone(epi f, (x, f(x)))}, canonical."""
-    v = f.value(x)
-    if v == float("inf"):
-        raise ValueError("base point outside dom f")
-    N = normal_cone(f.epigraph(), tuple(x) + (v,)).body
+    """{x* : (x*, level) in normal_cone(epi f, (x, f(x)))}, canonical.  A normal
+    cone depends only on the set near its point, and near (x, f(x)) epi f is
+    (x, f(x)) + epi(germ of f at x): the cone is read at the germ's origin."""
+    N = normal_cone(f.germ(x).epigraph(), zeros(f.dim + 1)).body
     return N.slice_last(level).canonical()
 
 
@@ -100,11 +100,6 @@ def clarke_dirderiv(f: PLFunction, x: Vec, h: Vec) -> Fraction:
         raise RuntimeError("Clarke subdifferential at a Lipschitz point must be a "
                            "nonempty polytope, but its support is %r" % (val,))
     return val
-
-
-def dirderiv(f: PLFunction, x: Vec, h: Vec):
-    """One-sided directional derivative (exact; +INF off-domain directions)."""
-    return f.dirderiv(x, h)
 
 
 def is_regular(f: PLFunction, x: Vec) -> bool:

@@ -1,8 +1,12 @@
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 
 from plcq.cli import main
+from plcq.instances import generate_corpus
 
 F = Fraction
 
@@ -150,6 +154,50 @@ def test_verify_failure_writes_minimized_counterexample(tmp_path, monkeypatch, c
 def test_analyze_rejects_l2_norm(tmp_path):
     path = write(tmp_path, "kink.json", KINK)
     assert main(["analyze", path, "--norm", "l2"]) == 2
+
+
+def test_verify_rejects_l2_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "kink.json").write_text(json.dumps(dict(KINK, norm="l2")))
+    assert main(["verify", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: kink: CQ analysis needs a polyhedral norm")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_oracle_compare_rejects_l2_norm(tmp_path, capsys):
+    path = write(tmp_path, "kink.json", KINK)
+    assert main(["oracle-compare", path, "--norm", "l2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: kink: CQ analysis needs a polyhedral norm")
+    assert err.count("\n") == 1
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this thread if the block runs longer."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_generate_with_nonpositive_dim_is_an_input_error(dim, capsys):
+    # R^0 has no nonzero gradient, which the atom generator once drew forever
+    with _time_limit(10):
+        with pytest.raises(ValueError, match="at least 1"):
+            generate_corpus(2, dim, seed=1)
+        assert main(["verify", "--generate", "2", "--dim", str(dim)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: corpus dimension must be at least 1, got %d\n" % dim
 
 
 def test_endset_allows_l2_norm(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Rewritten constructions against their predecessors, kept verbatim.
 
-Three constructions have one implementation now, and their earlier forms
+Four constructions have one implementation now, and their earlier forms
 are kept here as references:
 - the l1 and linf distance LPs, once two hand-built formulations (a slack
   per coordinate for l1, one bound t for linf), now one LP over the facets
@@ -9,23 +9,29 @@ are kept here as references:
   domain rows lifted by hand, now the solution set of (x, r) -> f(x) - r
   on dom f x R;
 - the directional derivative, once a recursion over the active children
-  with atoms read as g.h, now the pruned tree evaluated at x + h minus f(x).
+  with atoms read as g.h, now the germ of f at x evaluated at h;
+- the Clarke, singular and Frechet subdifferentials, once slices of normal
+  cones of the global epigraph at (x, f(x)), now slices of normal cones of
+  the germ's epigraph at the origin.  The germ is the tree that `_prune`
+  kept, with its atoms' offsets dropped, on the domain cone at x.
 
 The references are the old bodies, verbatim apart from their names and
 docstrings, `self` passed explicitly, and the unchanged l2 branch left out
 of the distance.
 Each comparison runs on seeded random inputs and must give equal values
-(equal canonical keys for the epigraph).
+(equal canonical keys for sets).
 """
 
 import random
 from fractions import Fraction
 
 from plcq import simplex
-from plcq.instances import random_function
-from plcq.linalg import INF, dot, unit, zeros
-from plcq.plfunc import Atom, Max, _lift_expr, _sublevel_dnf, expr_value
+from plcq.cones import clarke_normal_cone, frechet_normal_cone
+from plcq.instances import boundary_basepoints, random_function
+from plcq.linalg import INF, Vec, dot, unit, zeros
+from plcq.plfunc import Atom, Max, PLFunction, _lift_expr, _sublevel_dnf, expr_value
 from plcq.polyhedra import HPolyhedron, NormSpec, UnionPolyhedron, distance
+from plcq.subdiff import clarke_singular_subdiff, clarke_subdiff, frechet_subdiff
 
 from conftest import random_point, random_polyhedron
 
@@ -104,6 +110,25 @@ def _reference_dirderiv(self, x, h):
     return rec(self.expr)
 
 
+def _reference_prune(expr, x: Vec):
+    if isinstance(expr, Atom):
+        return expr
+    vals = [expr_value(ch, x) for ch in expr.children]
+    v = max(vals) if isinstance(expr, Max) else min(vals)
+    kids = tuple(_reference_prune(ch, x) for ch, w in zip(expr.children, vals) if w == v)
+    if len(kids) == 1:
+        return kids[0]
+    return type(expr)(kids)
+
+
+def _reference_epi_slice(f: PLFunction, x: Vec, normal_cone, level) -> HPolyhedron:
+    v = f.value(x)
+    if v == float("inf"):
+        raise ValueError("base point outside dom f")
+    N = normal_cone(f.epigraph(), tuple(x) + (v,)).body
+    return N.slice_last(level).canonical()
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -171,3 +196,54 @@ def test_dirderiv_matches_reference():
                     assert f.dirderiv(x, h) == _reference_dirderiv(f, x, h), (f.expr, x, h)
                     checked += 1
     assert checked >= 200
+
+
+def _without_offsets(expr):
+    if isinstance(expr, Atom):
+        return Atom(expr.g, F(0))
+    return type(expr)(tuple(_without_offsets(ch) for ch in expr.children))
+
+
+def _local_cases(rng):
+    """(f, x, kind) in dims 1-3, with and without a domain: boundary points
+    of {f <= 0}, the same points shifted off the zero level, and vertices of
+    the domain, where f is not Lipschitz."""
+    for with_domain in (False, True):
+        for f in _random_functions(rng, with_domain, 16):
+            base = boundary_basepoints(f, limit=2)
+            cases = [(x, "boundary") for x in base]
+            cases += [(tuple(q + s for q in x), "off-level")
+                      for x in base for s in (1, F(-1, 2))]
+            if f.domain is not None:
+                cases += [(v, "domain-boundary") for v in f.domain.generators().vertices[:2]]
+            for x, kind in cases:
+                if f.in_domain(x):
+                    yield f, x, kind
+
+
+def test_germ_is_the_pruned_tree_on_the_domain_cone():
+    rng = random.Random(4444)
+    for f, x, _ in _local_cases(rng):
+        germ = f.germ(x)
+        assert germ.expr == _without_offsets(_reference_prune(f.expr, x)), (f.expr, x)
+        if f.domain is None:
+            assert germ.domain is None
+        else:
+            assert germ.domain.canonical().key() == f.domain_cone(x).canonical().key()
+
+
+def test_subdifferentials_match_reference():
+    rng = random.Random(4549)
+    kinds = {"boundary": 0, "off-level": 0, "domain-boundary": 0, "non-lipschitz": 0,
+             "dim 1": 0, "dim 2": 0, "dim 3": 0}
+    routes = ((clarke_subdiff, clarke_normal_cone, -1),
+              (clarke_singular_subdiff, clarke_normal_cone, 0),
+              (frechet_subdiff, frechet_normal_cone, -1))
+    for f, x, kind in _local_cases(rng):
+        kinds[kind] += 1
+        kinds["non-lipschitz"] += not f.lipschitz_at(x)
+        kinds["dim %d" % f.dim] += 1
+        for subdiff, normal_cone, level in routes:
+            ref = _reference_epi_slice(f, x, normal_cone, level)
+            assert subdiff(f, x).set.key() == ref.key(), (subdiff.__name__, f.expr, x)
+    assert min(kinds.values()) >= 10, kinds

@@ -1,11 +1,17 @@
-"""A golden digest of `analyze` reports.
+"""Golden digests of `analyze` reports.
 
-The reports of a fixed generated set (dims 1-2, with and without a domain,
-in linf and l1), at its boundary basepoints and at the same points shifted
-by +1 and by -1/2 where f is defined, are serialized as `plcq analyze`
-writes them and hashed.  Every refactor that promises byte-identical reports must leave the
-digest unchanged; a change that alters a report on purpose records the new
-digest here and says why.
+Two fixed report sets are serialized as `plcq analyze` writes them and
+hashed:
+- a generated set in dims 1-2, with and without a domain, in linf and l1,
+  at its boundary basepoints and at the same points shifted by +1 and by
+  -1/2 where f is defined;
+- a small generated set in dim 3, with and without a domain, at its
+  boundary basepoints, and one 4x4 max-of-min tree in R^2 at a kink where
+  two atoms of one branch are tight, both in linf and l1.
+
+Every refactor that promises byte-identical reports must leave both digests
+unchanged; a change that alters a report on purpose records the new digest
+here and says why.
 """
 
 import hashlib
@@ -15,9 +21,25 @@ from fractions import Fraction
 from plcq.cli import report_to_obj
 from plcq.cq import analyze
 from plcq.instances import generate_corpus
+from plcq.plfunc import PLFunction, atom, vmax, vmin
 from plcq.polyhedra import NormSpec
 
+F = Fraction
+
 GOLDEN_SHA256 = "9720b45e867dad29a5d3fc5351627781d5a02754a4593cffb2182d8d25a92766"
+GOLDEN_SHA256_DIM3_TREE = "4eda4e2082faa392f6c88fcc850dd41f828779bb10b0e3e3460379c6c559adfb"
+
+
+def _wide_tree() -> PLFunction:
+    """max of four mins of four atoms in R^2; at the origin the first branch
+    has two tight atoms and two positive ones, and every other branch a
+    negative atom, so f(0) = 0 and the global DNF of {f <= 0} has 256
+    conjunctions."""
+    return PLFunction(vmax(
+        vmin(atom([1, 2]), atom([-3, 1]), atom([1, -1], 1), atom([-2, -1], F(3, 2))),
+        vmin(atom([2, 1], -1), atom([-1, 3], 2), atom([0, -2], F(1, 2)), atom([3, -1], F(5, 2))),
+        vmin(atom([-1, -1], F(3, 2)), atom([1, 0], -2), atom([-2, 3], 1), atom([F(1, 2), 2], 3)),
+        vmin(atom([0, 1], 2), atom([-1, 2], F(1, 2)), atom([3, 1], F(-3, 2)), atom([-1, -3], 1))))
 
 
 def _reports():
@@ -33,8 +55,29 @@ def _reports():
                     yield report_to_obj(analyze(inst.f, p, NormSpec(norm)))
 
 
+def _dim3_and_tree_reports():
+    cases = [(inst.f, p) for inst in (generate_corpus(3, 3, seed=71, max_atoms=4)
+                                      + generate_corpus(2, 3, seed=72, extended=True,
+                                                        max_atoms=4))
+             for p in inst.basepoints]
+    cases.append((_wide_tree(), (F(0), F(0))))
+    for norm in ("linf", "l1"):
+        for f, p in cases:
+            yield report_to_obj(analyze(f, p, NormSpec(norm)))
+
+
+def _digest(reports) -> str:
+    text = json.dumps(reports, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_analyze_reports_match_golden_digest():
     reports = list(_reports())
-    text = json.dumps(reports, indent=2, sort_keys=True)
     assert len(reports) >= 150
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+    assert _digest(reports) == GOLDEN_SHA256
+
+
+def test_dim3_and_wide_tree_reports_match_golden_digest():
+    reports = list(_dim3_and_tree_reports())
+    assert len(reports) == 16
+    assert _digest(reports) == GOLDEN_SHA256_DIM3_TREE

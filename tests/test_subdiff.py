@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,9 +9,9 @@ from plcq import subdiff
 from plcq.linalg import INF, add, vec, zeros
 from plcq.oracle import SamplePlan, sample_clarke_dirderiv
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import HPolyhedron, support_function
+from plcq.polyhedra import HPolyhedron, hull, support_function
 from plcq.subdiff import (NotLipschitz, clarke_dirderiv, clarke_singular_subdiff,
-                          clarke_subdiff, dirderiv, frechet_subdiff, is_regular)
+                          clarke_subdiff, frechet_subdiff, is_regular)
 
 from conftest import random_point
 from test_plfunc import random_expr
@@ -76,11 +77,11 @@ def test_clarke_dirderiv_examples():
 
 
 def test_dirderiv_examples():
-    assert dirderiv(neg_abs(), vec(0), vec(1)) == -1
+    assert neg_abs().dirderiv(vec(0), vec(1)) == -1
     absf = PLFunction(vmax(atom([1]), atom([-1])))
-    assert dirderiv(absf, vec(0), vec(-1)) == 1
+    assert absf.dirderiv(vec(0), vec(-1)) == 1
     aff = PLFunction(atom([3, -2]))
-    assert dirderiv(aff, vec(1, 1), vec(1, 1)) == 1
+    assert aff.dirderiv(vec(1, 1), vec(1, 1)) == 1
 
 
 def test_not_lipschitz_guard():
@@ -111,7 +112,7 @@ def test_dirderiv_vs_clarke_on_max_trees(rng):
         assert is_regular(f, x)
         for _ in range(5):
             h = random_point(rng, dim)
-            assert dirderiv(f, x, h) == clarke_dirderiv(f, x, h)
+            assert f.dirderiv(x, h) == clarke_dirderiv(f, x, h)
 
 
 def test_clarke_dirderiv_is_support_of_subdiff(rng):
@@ -163,3 +164,30 @@ def test_clarke_dirderiv_rejects_unbounded_support(monkeypatch):
     monkeypatch.setattr(subdiff, "support_function", lambda C, h: INF)
     with pytest.raises(RuntimeError, match="nonempty polytope"):
         clarke_dirderiv(neg_abs(), vec(0), vec(1))
+
+
+def test_subdifferentials_never_expand_f_globally():
+    # max of 6 mins of 6 atoms in R^2: {f <= 0} and epi f expand to 6^6 = 46,656
+    # conjunctions, yet at the origin only two atoms of one branch are active
+    rng = random.Random(6)
+
+    def grad():
+        return (F(rng.randint(-3, 3)), F(rng.choice((-2, -1, 1, 2))))
+
+    branches = [vmin(atom([1, 2]), atom([-3, 1]),
+                     *[atom(grad(), rng.randint(1, 3)) for _ in range(4)])]
+    for _ in range(5):
+        branches.append(vmin(atom(grad(), -1),
+                             *[atom(grad(), rng.randint(-2, 3)) for _ in range(5)]))
+    f = PLFunction(vmax(*branches))
+    x = vec(0, 0)
+    assert f.value(x) == 0 and len(f.germ(x).atoms()) == 2
+    t0 = time.perf_counter()
+    cl = clarke_subdiff(f, x).set
+    sing = clarke_singular_subdiff(f, x).set
+    fr = frechet_subdiff(f, x).set
+    assert time.perf_counter() - t0 < 2.0
+    assert f._epigraph is None and f._solution is None
+    assert cl.set_eq(hull([vec(1, 2), vec(-3, 1)]))
+    assert sing.set_eq(HPolyhedron.single_point(zeros(2)))
+    assert fr.is_empty  # min of two non-parallel atoms: a concave kink
