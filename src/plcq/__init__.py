@@ -3,15 +3,14 @@ inequalities: tangent/normal cones, Clarke/Frechet subdifferentials, end sets,
 BCQ and tau-strong BCQ decisions, and error-bound constants."""
 
 from .linalg import INF, Vec, frac, frac_str, vec
-from .polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
-                        distance, hull, minkowski_sum, nonneg_hull, polar_cone,
-                        segment_hull, support_function, union_subset)
-from .plfunc import Atom, CellComplex, Max, Min, PLFunction, atom, vmax, vmin, is_boundary_point
+from .polyhedra import (HPolyhedron, NormSpec, UnionPolyhedron, distance, hull,
+                        minkowski_sum, nonneg_hull, polar_cone, segment_hull,
+                        support_function, union_subset)
+from .plfunc import Atom, Max, Min, PLFunction, atom, vmax, vmin, is_boundary_point
 from .cones import (LocalFaceAtlas, clarke_normal_cone, clarke_tangent_cone,
                     contingent_cone, face_atlas, frechet_normal_cone)
-from .subdiff import (NotLipschitz, SubdiffResult, clarke_dirderiv,
-                      clarke_singular_subdiff, clarke_subdiff, frechet_subdiff,
-                      is_regular)
+from .subdiff import (NotLipschitz, clarke_dirderiv, clarke_singular_subdiff,
+                      clarke_subdiff, frechet_subdiff, is_regular)
 from .endset import EndSetResult, distance_to_end_set, end_set, ray_exit
 from .cq import (Analysis, CQReport, NotApplicable, analyze, best_tau_directional,
                  best_tau_endset, check_clarke_bcq, check_extended_bcq,

@@ -133,14 +133,14 @@ def cmd_endset(args) -> int:
         an = Analysis(inst.f, p, space_norm)
         label = ",".join(frac_str(q) for q in p)
         if args.set == "clarke":
-            base = an.clarke.set
+            base = an.clarke
         elif args.set == "frechet":
-            base = an.frechet.set
+            base = an.frechet
         elif not an.in_solution_set:
             raise InstanceError("basepoint %s is outside the solution set, so it has "
                                 "no normal cone for --set intersection" % label)
         else:
-            base = an.clarke.set.intersect(an.normal_clarke)
+            base = an.clarke.intersect(an.normal_clarke)
         res = end_set(base, dual)
         entry = {
             "basepoint": [frac_str(q) for q in p],
@@ -167,6 +167,8 @@ def cmd_verify(args) -> int:
         except ValueError as e:
             raise InstanceError(str(e)) from None
     elif args.corpus:
+        if not Path(args.corpus).is_dir():
+            raise InstanceError("corpus %s is not a directory" % args.corpus)
         paths = sorted(Path(args.corpus).glob("*.json"))
         instances = [load_instance(p) for p in paths]
     else:
@@ -221,6 +223,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if not 0 <= args.tolerance < float("inf"):
+        raise InstanceError("--tolerance must be finite and >= 0, got %s" % args.tolerance)
     inst = _load(args)
     _require_polyhedral_norm(inst)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
@@ -245,8 +249,8 @@ def cmd_oracle_compare(args) -> int:
                 total += 1
                 details.append({"kind": "clarke_dirderiv", "ok": ok})
         if an.in_solution_set:
-            T = an.tangent_contingent.body
-            Tc = an.tangent_clarke.body
+            T = an.tangent_contingent
+            Tc = an.tangent_clarke
             S = an.solution_set
             for h in dirs:
                 margin = min((abs(sum(a * q for a, q in zip(row[0], h)))
@@ -258,7 +262,7 @@ def cmd_oracle_compare(args) -> int:
                 agree += ok1 + ok2
                 total += 2
                 details.append({"kind": "tangent_membership", "ok": ok1 and ok2})
-        for v in an.frechet.vertices()[:4]:
+        for v in an.frechet.generators().vertices[:4]:
             ok = sample_frechet_subgradient_check(inst.f, p, v, plan)
             agree += ok
             total += 1

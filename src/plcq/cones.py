@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Vec, add, dot, linf_norm, primitive_signed, scale
-from .polyhedra import (ConeSet, HPolyhedron, UnionPolyhedron, union_subset)
+from .polyhedra import HPolyhedron, UnionPolyhedron, polar_cone, union_subset
 
 _ATLAS_RADIUS = Fraction(1, 1024)
 
@@ -28,10 +28,11 @@ def local_cone_pieces(A: UnionPolyhedron, a: Vec) -> list[HPolyhedron]:
     return pieces
 
 
-def contingent_cone(A: UnionPolyhedron, a: Vec) -> ConeSet:
-    """Bouligand contingent cone T(A, a), a union of polyhedral cones."""
+def contingent_cone(A: UnionPolyhedron, a: Vec) -> UnionPolyhedron:
+    """Bouligand contingent cone T(A, a): the canonical union of the
+    feasible-direction cones of the pieces through a."""
     cones = local_cone_pieces(A, a)
-    return ConeSet(UnionPolyhedron(cones, A.dim).canonical())
+    return UnionPolyhedron(cones, A.dim).canonical()
 
 
 def _sign(q: Fraction) -> int:
@@ -136,20 +137,19 @@ def face_atlas(A: UnionPolyhedron, a: Vec) -> LocalFaceAtlas:
         eps = max_step(p)
         rep = add(a, scale(p, eps))
         for r in (rep, add(a, scale(p, eps / 2))):
-            check = contingent_cone(A, r).body
-            if check.key() != tangent.key():
+            if contingent_cone(A, r).key() != tangent.key():
                 raise RuntimeError("atlas face tangent disagrees with its representative")
         faces.append(AtlasFace(cone=C.canonical(), signs=signs,
                                representative=rep, tangent=tangent))
     return LocalFaceAtlas(anchor=a, hyperplanes=tuple(hyps), faces=faces)
 
 
-def clarke_tangent_cone(A: UnionPolyhedron, a: Vec) -> ConeSet:
-    """Clarke tangent cone T_c(A, a): always convex; equals the contingent
-    cone when the germ of A at a is convex."""
+def clarke_tangent_cone(A: UnionPolyhedron, a: Vec) -> HPolyhedron:
+    """Clarke tangent cone T_c(A, a), a canonical convex polyhedral cone;
+    equals the contingent cone when the germ of A at a is convex."""
     kpieces = local_cone_pieces(A, a)
     if len(kpieces) == 1:
-        return ConeSet(kpieces[0])
+        return kpieces[0]
     atlas = face_atlas(A, a)
     current = [HPolyhedron.full_space(A.dim)]
     for face in sorted(atlas.faces, key=lambda f: len(f.tangent.pieces)):
@@ -168,14 +168,14 @@ def clarke_tangent_cone(A: UnionPolyhedron, a: Vec) -> ConeSet:
     hull_ = union.convex_hull()
     if union_subset(hull_, union) is not True:
         raise RuntimeError("intersection of face tangents is not convex")
-    return ConeSet(hull_.canonical())
+    return hull_.canonical()
 
 
-def clarke_normal_cone(A: UnionPolyhedron, a: Vec) -> ConeSet:
-    """N_c(A, a) = nonnegative polar of the Clarke tangent cone."""
-    return clarke_tangent_cone(A, a).polar()
+def clarke_normal_cone(A: UnionPolyhedron, a: Vec) -> HPolyhedron:
+    """N_c(A, a) = nonnegative polar of the Clarke tangent cone, canonical."""
+    return polar_cone(clarke_tangent_cone(A, a))
 
 
-def frechet_normal_cone(A: UnionPolyhedron, a: Vec) -> ConeSet:
-    """N^(A, a) = nonnegative polar of the contingent cone (finite dim)."""
-    return contingent_cone(A, a).polar()
+def frechet_normal_cone(A: UnionPolyhedron, a: Vec) -> HPolyhedron:
+    """N^(A, a) = nonnegative polar of the contingent cone, canonical."""
+    return polar_cone(contingent_cone(A, a))

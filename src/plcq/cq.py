@@ -22,8 +22,8 @@ from .linalg import INF, Vec, dot, is_zero, neg, sub, zeros
 from .cones import clarke_tangent_cone, contingent_cone
 from .endset import distance_to_end_set
 from .plfunc import PLFunction, is_boundary_point
-from .polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron,
-                        minkowski_sum, nonneg_hull, scale_interval, segment_hull)
+from .polyhedra import (HPolyhedron, NormSpec, UnionPolyhedron, minkowski_sum,
+                        nonneg_hull, polar_cone, scale_interval, segment_hull)
 from .subdiff import (NotLipschitz, clarke_singular_subdiff, clarke_subdiff,
                       frechet_subdiff, is_regular)
 
@@ -87,36 +87,36 @@ class Analysis:
         return self.norm.dual().ball(self.f.dim)
 
     @cached_property
-    def clarke(self):
+    def clarke(self) -> HPolyhedron:
         return clarke_subdiff(self.f, self.x)
 
     @cached_property
-    def singular(self):
+    def singular(self) -> HPolyhedron:
         return clarke_singular_subdiff(self.f, self.x)
 
     @cached_property
-    def frechet(self):
+    def frechet(self) -> HPolyhedron:
         return frechet_subdiff(self.f, self.x)
 
     @cached_property
-    def tangent_contingent(self) -> ConeSet:
+    def tangent_contingent(self) -> UnionPolyhedron:
         self.require_in_solution_set()
         return contingent_cone(self.solution_set, self.x)
 
     @cached_property
-    def tangent_clarke(self) -> ConeSet:
+    def tangent_clarke(self) -> HPolyhedron:
         self.require_in_solution_set()
         return clarke_tangent_cone(self.solution_set, self.x)
 
     @cached_property
     def normal_clarke(self) -> HPolyhedron:
         """N_c(S, x), the polar of the Clarke tangent cone."""
-        return self.tangent_clarke.polar().body.canonical()
+        return polar_cone(self.tangent_clarke)
 
     @cached_property
     def normal_frechet(self) -> HPolyhedron:
         """N^(S, x), the polar of the contingent cone."""
-        return self.tangent_contingent.polar().body.canonical()
+        return polar_cone(self.tangent_contingent)
 
     @cached_property
     def clarke_ball_slice(self) -> tuple[Vec, ...]:
@@ -138,30 +138,30 @@ class Analysis:
     def sublevel_cone(self) -> HPolyhedron:
         """{h : phi°(x; h) <= 0}, a convex polyhedral cone (Lipschitz only)."""
         self.require_lipschitz()
-        rows = [(g, Fraction(0)) for g in self.clarke.vertices()]
+        rows = [(g, Fraction(0)) for g in self.clarke.generators().vertices]
         return HPolyhedron(self.f.dim, rows).canonical()
 
     @cached_property
     def singular_is_zero(self) -> bool:
-        return self.singular.set.set_eq(self.origin)
+        return self.singular.set_eq(self.origin)
 
     @cached_property
     def subdiff_in_normal(self) -> bool:
         """@c f(x) subset of N_c(S, x)."""
-        return self.clarke.set.subset_of(self.normal_clarke) is True
+        return self.clarke.subset_of(self.normal_clarke) is True
 
     @cached_property
     def clarke_plus_singular(self) -> HPolyhedron:
         """@c f(x) + @c^inf f(x), empty when the subdifferential is."""
-        if self.clarke.set.is_empty:
-            return self.clarke.set
-        return minkowski_sum(self.clarke.set, self.singular.set)
+        if self.clarke.is_empty:
+            return self.clarke
+        return minkowski_sum(self.clarke, self.singular)
 
     @cached_property
     def clarke_subdiff_distance(self):
         """d(0, E[@c f(x)]) in the dual norm, of the raw subdifferential (the
         Clarke end-set route intersects it with the normal cone first)."""
-        return distance_to_end_set(self.clarke.set, self.norm.dual())
+        return distance_to_end_set(self.clarke, self.norm.dual())
 
     # -- hypothesis guards ----------------------------------------------------
 
@@ -182,7 +182,8 @@ class Analysis:
             raise NotApplicable("basepoint is not on the zero level set")
 
     def require_bounded_frechet(self):
-        if not self.frechet.bounded():
+        v = self.frechet.generators()
+        if v.rays or v.lines:
             raise NotApplicable("Frechet subdifferential is unbounded")
 
     def require_regular(self):
@@ -194,7 +195,7 @@ class Analysis:
             raise NotApplicable("needs a trivial singular subdifferential")
 
     def require_nonempty_clarke(self):
-        if self.clarke.set.is_empty:
+        if self.clarke.is_empty:
             raise NotApplicable("empty Clarke subdifferential")
 
     def require_subdiff_in_normal(self):
@@ -266,14 +267,14 @@ def check_clarke_bcq(an: Analysis):
 
     Returns (holds, witness_or_None, flags)."""
     an.require_boundary()
-    return _cone_bcq(an.normal_clarke, an.clarke.set, an.origin)
+    return _cone_bcq(an.normal_clarke, an.clarke, an.origin)
 
 
 def check_extended_bcq(an: Analysis):
     """N_c(S, x) subset of [0,+oo)@c f(x) + @c^inf f(x)."""
     an.require_boundary()
     an.require_zero_level()
-    sub, sing = an.clarke.set, an.singular.set
+    sub, sing = an.clarke, an.singular
     # recession of the subdifferential sits inside the singular cone, so the
     # right side is closed
     if not sub.is_empty and sub.recession().subset_of(sing) is not True:
@@ -285,7 +286,7 @@ def check_extended_bcq(an: Analysis):
 def check_frechet_bcq(an: Analysis):
     """N^(S, x) == [0,+oo) * Frechet subdifferential (set equality)."""
     an.require_boundary()
-    sub, Nf = an.frechet.set, an.normal_frechet
+    sub, Nf = an.frechet, an.normal_frechet
     # on the zero level f(x + h) <= 0 makes every Frechet subgradient a
     # Frechet normal of S; below it the inclusion need not hold
     if an.phi_value == 0 and not sub.is_empty and sub.subset_of(Nf) is not True:
@@ -298,13 +299,13 @@ def _strong_bcq_sets(an: Analysis, mode: str):
     N cap B_dual subset of [0,tau]C + K, after the mode's hypothesis guards."""
     an.require_boundary()
     if mode == MODE_CLARKE:
-        return an.clarke_ball_slice, an.clarke.set, an.origin
+        return an.clarke_ball_slice, an.clarke, an.origin
     if mode == MODE_EXTENDED:
         an.require_zero_level()
-        return an.clarke_ball_slice, an.clarke_plus_singular, an.singular.set
+        return an.clarke_ball_slice, an.clarke_plus_singular, an.singular
     if mode == MODE_FRECHET:
         an.require_zero_level()
-        return an.frechet_ball_slice, an.frechet.set, an.origin
+        return an.frechet_ball_slice, an.frechet, an.origin
     raise ValueError("unknown strong BCQ mode %r" % (mode,))
 
 
@@ -409,9 +410,9 @@ def best_tau_directional(an: Analysis, mode: str):
     if mode not in memo:
         flags = set()
         if mode == MODE_CLARKE:
-            W, G = an.clarke_ball_slice, an.clarke.vertices()
+            W, G = an.clarke_ball_slice, an.clarke.generators().vertices
         else:
-            W, G = an.frechet_ball_slice, an.frechet.vertices()
+            W, G = an.frechet_ball_slice, an.frechet.generators().vertices
             if an.frechet.is_empty:
                 flags.add(FLAG_CONVENTION)
         tau = _dirwise_tau(W, G, an.f.dim)
@@ -424,12 +425,12 @@ def best_tau_directional(an: Analysis, mode: str):
 
 def _endset_base(an: Analysis, mode: str) -> HPolyhedron:
     if mode == MODE_CLARKE:
-        return an.clarke.set.intersect(an.normal_clarke).canonical()
+        return an.clarke.intersect(an.normal_clarke).canonical()
     if mode == MODE_EXTENDED:
-        hull01 = segment_hull(an.clarke.set, 1)
-        return minkowski_sum(hull01, an.singular.set).intersect(an.normal_clarke).canonical()
+        hull01 = segment_hull(an.clarke, 1)
+        return minkowski_sum(hull01, an.singular).intersect(an.normal_clarke).canonical()
     if mode == MODE_FRECHET:
-        return an.frechet.set
+        return an.frechet
     raise ValueError("unknown end-set mode %r" % (mode,))
 
 
@@ -476,7 +477,7 @@ def check_subdiff_in_normal(an: Analysis) -> bool:
     an.require_lipschitz()
     an.require_in_solution_set()
     lhs = an.subdiff_in_normal
-    rhs = an.tangent_clarke.body.subset_of(an.sublevel_cone) is True
+    rhs = an.tangent_clarke.subset_of(an.sublevel_cone) is True
     if lhs != rhs:
         raise RuntimeError("subdifferential/tangent-cone duality failed")
     # regularity puts @c f(x) inside N_c(S, x) only on the zero level, where
@@ -491,12 +492,12 @@ def check_tangent_inclusion(an: Analysis) -> bool:
     0 is not a Clarke subgradient."""
     an.require_lipschitz()
     an.require_in_solution_set()
-    incl = an.sublevel_cone.subset_of(an.tangent_clarke.body.canonical()) is True
+    incl = an.sublevel_cone.subset_of(an.tangent_clarke) is True
     if an.on_boundary:
         bcq, _, _ = check_clarke_bcq(an)
         if bcq and not incl:
             raise RuntimeError("Clarke BCQ must imply the tangent inclusion")
-        if not an.clarke.set.contains(zeros(an.f.dim)) and bcq != incl:
+        if not an.clarke.contains(zeros(an.f.dim)) and bcq != incl:
             raise RuntimeError("tangent inclusion must match BCQ when 0 is not a subgradient")
     return incl
 
@@ -507,8 +508,8 @@ def error_bound_modulus(an: Analysis):
     sublevel cone of psi.  Computed once per Analysis."""
     an.require_lipschitz()
     if an._error_bound_modulus is None:
-        G = an.clarke.vertices()
-        polar = nonneg_hull(an.clarke.set) if G else an.origin
+        G = an.clarke.generators().vertices
+        polar = nonneg_hull(an.clarke) if G else an.origin
         W = _ball_slice_vertices(an, polar)
         an._error_bound_modulus = _dirwise_tau(W, G, an.f.dim)
     return an._error_bound_modulus
@@ -534,7 +535,7 @@ def verify_prop32(an: Analysis, r) -> dict:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale must be positive")
-    sub, sing = an.clarke.set, an.singular.set
+    sub, sing = an.clarke, an.singular
     if sub.is_empty:
         raise NotApplicable("empty Clarke subdifferential")
     if sub.recession().subset_of(sing) is not True:
@@ -638,7 +639,7 @@ def _prop41(an: Analysis) -> bool:
     the t <= 1 part of hom(C), which is closed and lies between [0,1]C and
     its closure.  So the row cannot fail for a correct engine; it
     cross-checks those two constructions."""
-    sub = an.frechet.set
+    sub = an.frechet
     if sub.is_empty:
         raise NotApplicable("empty Frechet subdifferential")
     return segment_hull(sub, 1).set_eq(_scaled_part(_hom(sub), 1))
@@ -646,11 +647,12 @@ def _prop41(an: Analysis) -> bool:
 
 def _prop42(an: Analysis) -> bool:
     bcq, _, _ = check_frechet_bcq(an)
-    lhs = HPolyhedron(an.f.dim, [(g, Fraction(0)) for g in an.frechet.vertices()]).canonical()
-    eq48 = lhs.set_eq(an.tangent_contingent.body.convex_hull().canonical())
+    G = an.frechet.generators().vertices
+    lhs = HPolyhedron(an.f.dim, [(g, Fraction(0)) for g in G]).canonical()
+    eq48 = lhs.set_eq(an.tangent_contingent.convex_hull().canonical())
     if bcq:
         return eq48
-    return not eq48 or an.frechet.set.contains(zeros(an.f.dim))
+    return not eq48 or an.frechet.contains(zeros(an.f.dim))
 
 
 def _guards(*names):
@@ -784,7 +786,7 @@ def analyze(f: PLFunction, x, norm: NormSpec = NormSpec("linf")) -> CQReport:
 
     rep = CQReport(basepoint=an.x, phi_value=an.phi_value, norm=norm,
                    on_boundary=an.on_boundary, lipschitz=an.lipschitz)
-    rep.clarke_subdiff_rows = an.clarke.set.canonical().rows
+    rep.clarke_subdiff_rows = an.clarke.rows
 
     r = attempt(check_clarke_bcq)
     if r is not None:

@@ -36,6 +36,14 @@ class Instance:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+def _array(obj, what: str) -> list:
+    """obj, which must be a JSON array: iterating a string instead would read
+    it one character at a time."""
+    if not isinstance(obj, list):
+        raise InstanceError("%s must be a JSON array, not %s" % (what, type(obj).__name__))
+    return obj
+
+
 def _expr_to_obj(expr):
     if isinstance(expr, Atom):
         return {"op": "atom", "g": [frac_str(q) for q in expr.g], "c": frac_str(expr.c)}
@@ -47,7 +55,7 @@ def _expr_from_obj(obj, dim):
     try:
         op = obj["op"]
         if op == "atom":
-            g = tuple(frac(s) for s in obj["g"])
+            g = tuple(frac(s) for s in _array(obj["g"], "atom gradient"))
             if len(g) != dim:
                 raise InstanceError("atom gradient has wrong dimension")
             return Atom(g, frac(obj["c"]))
@@ -79,7 +87,7 @@ def _domain_from_obj(obj, dim) -> HPolyhedron | None:
     rows, eqs = [], []
     for item in obj:
         try:
-            a = tuple(frac(s) for s in item["a"])
+            a = tuple(frac(s) for s in _array(item["a"], "'a'"))
             b = frac(item["b"])
             kind = item.get("type", "le")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -117,10 +125,13 @@ def instance_from_obj(obj) -> Instance:
         version = obj.get("version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise InstanceError("unsupported format version %r" % version)
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InstanceError("dim must be a JSON integer, not %r" % (dim,))
         expr = _expr_from_obj(obj["expr"], dim)
         domain = _domain_from_obj(obj.get("domain"), dim)
-        basepoints = [tuple(frac(s) for s in p) for p in obj.get("basepoints", [])]
+        basepoints = [tuple(frac(s) for s in _array(p, "basepoint"))
+                      for p in _array(obj.get("basepoints", []), "basepoints")]
         norm = NormSpec(obj.get("norm", "linf"))
         name = obj.get("name", "instance")
         seed = obj.get("seed")
@@ -243,10 +254,7 @@ def generate_corpus(count: int, dim: int, seed: int, extended: bool = False,
         f = random_function(rng, dim, max_atoms, with_domain=extended)
         if f is None:
             continue
-        try:
-            pts = boundary_basepoints(f, limit=points_per_instance)
-        except Exception:
-            continue
+        pts = boundary_basepoints(f, limit=points_per_instance)
         if not pts:
             continue
         out.append(Instance(name="gen-%03d" % len(out), f=f, basepoints=pts, seed=seed))

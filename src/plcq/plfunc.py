@@ -105,15 +105,6 @@ def _lift_expr(expr):
     return Max(kids) if isinstance(expr, Max) else Min(kids)
 
 
-@dataclass
-class CellComplex:
-    """Full-dimensional local affine pieces at an anchor point: each cell is
-    a cone of directions h on which f(anchor + t h) is affine with the stored
-    gradient for small t > 0."""
-    cells: list  # (region: HPolyhedron cone, gradient: Vec, offset: Fraction)
-    anchor: Vec
-
-
 class PLFunction:
     def __init__(self, expr, dim: int | None = None, domain: HPolyhedron | None = None):
         self.expr = expr
@@ -129,6 +120,7 @@ class PLFunction:
         self.domain = domain
         self._solution: UnionPolyhedron | None = None
         self._epigraph: UnionPolyhedron | None = None
+        self._germs: dict[Vec, PLFunction] = {}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -202,7 +194,10 @@ class PLFunction:
         """The germ of f at x: h -> f(x + h) - f(x) near h = 0, i.e. f'(x; .)
         on the domain cone at x.  Its tree keeps the children active at x,
         recursively, with every atom's offset dropped (each kept atom equals
-        f(x) at x, and max/min commute with subtracting it)."""
+        f(x) at x, and max/min commute with subtracting it).  Built once."""
+        x = tuple(x)
+        if x in self._germs:
+            return self._germs[x]
         if not self.in_domain(x):
             raise ValueError("germ at a point outside the domain")
 
@@ -215,19 +210,19 @@ class PLFunction:
             return kids[0] if len(kids) == 1 else type(expr)(kids)
 
         domain = None if self.domain is None else self.domain.direction_cone(x)
-        return PLFunction(rec(self.expr), self.dim, domain)
+        germ = self._germs[x] = PLFunction(rec(self.expr), self.dim, domain)
+        return germ
 
     def dirderiv(self, x: Vec, h: Vec):
         """One-sided directional derivative f'(x; h): the germ at x evaluated
         at h, so +INF when x + t h leaves the domain for every small t > 0."""
         return self.germ(x).value(h)
 
-    def local_cells(self, x: Vec) -> CellComplex:
-        """The affine pieces of the germ of f at x, as direction cones with
-        gradients.
-
-        Cells are full-dimensional relative to the domain cone at x, cover
-        it, and on each cell f(x + th) = f(x) + t g.h for small t > 0.
+    def local_cells(self, x: Vec) -> list[tuple[HPolyhedron, Vec, Fraction]]:
+        """The affine pieces of the germ of f at x, as (region, gradient,
+        offset) triples: the canonical direction cones cover the domain cone
+        at x, are full-dimensional relative to it, and on each one
+        f(x + th) = f(x) + t g.h = g.(x + th) + offset for small t > 0.
         """
         germ = self.germ(x)
 
@@ -266,7 +261,7 @@ class PLFunction:
                 continue
             seen.add(k)
             cells.append((region, g, fx - dot(g, x)))
-        return CellComplex(cells=cells, anchor=x)
+        return cells
 
     def __repr__(self):
         dom = "" if self.domain is None else ", with domain"

@@ -585,44 +585,18 @@ def union_set_eq(A, B) -> bool:
 # cones
 # ---------------------------------------------------------------------------
 
-class ConeSet:
-    """A polyhedral cone (convex) or finite union of polyhedral cones."""
-
-    def __init__(self, body):
-        self.body = body
-        pieces = body.pieces if isinstance(body, UnionPolyhedron) else (body,)
-        for p in pieces:
-            if not p.is_cone():
-                raise ValueError("ConeSet body has a nonzero offset")
-        self.dim = body.dim
-
-    @property
-    def is_union(self) -> bool:
-        return isinstance(self.body, UnionPolyhedron)
-
-    def pieces(self):
-        return self.body.pieces if self.is_union else (self.body,)
-
-    def contains(self, h: Vec) -> bool:
-        return self.body.contains(h)
-
-    def polar(self) -> ConeSet:
-        return polar_cone(self)
-
-    def key(self):
-        return self.body.key()
-
-    def __repr__(self):
-        return "ConeSet(%r)" % (self.body,)
-
-
-def polar_cone(K: ConeSet) -> ConeSet:
-    """Nonnegative polar {y : y.h <= 0 for all h in K}; for unions this is
-    the intersection of the piecewise polars, hence convex."""
+def polar_cone(K) -> HPolyhedron:
+    """Nonnegative polar {y : y.h <= 0 for all h in K}, canonical, of a cone
+    or union of cones given as an H- or UnionPolyhedron; for unions this is
+    the intersection of the piecewise polars, hence convex.  ValueError on a
+    piece with a nonzero offset, whose generators would silently give the
+    polar of its conic hull instead."""
     rows: list[Row] = []
     eqs: list[Row] = []
     nonempty = False
-    for p in K.pieces():
+    for p in as_union(K).pieces:
+        if not p.is_cone():
+            raise ValueError("polar_cone needs cones, but a piece has a nonzero offset")
         v = p.generators()
         if not v.vertices:
             continue
@@ -631,8 +605,8 @@ def polar_cone(K: ConeSet) -> ConeSet:
         rows += [(q, Fraction(0)) for q in v.vertices if not is_zero(q)]
         eqs += [(l, Fraction(0)) for l in v.lines]
     if not nonempty:
-        return ConeSet(HPolyhedron.full_space(K.dim).canonical())
-    return ConeSet(HPolyhedron(K.dim, rows, eqs).canonical())
+        return HPolyhedron.full_space(K.dim).canonical()
+    return HPolyhedron(K.dim, rows, eqs).canonical()
 
 
 # ---------------------------------------------------------------------------

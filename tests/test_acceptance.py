@@ -99,19 +99,19 @@ def lipschitz_corpus():
                          tau_d=tau_d, tau_e=tau_e,
                          d_clarke=endset_distance(an, MODE_CLARKE),
                          eb=error_bound_modulus(an),
-                         sub_in_normal=an.clarke.set.subset_of(an.normal_clarke) is True,
+                         sub_in_normal=an.clarke.subset_of(an.normal_clarke) is True,
                          regular=an.regular)
             W = _ball_slice_vertices(an, an.normal_clarke)
-            G = an.clarke.vertices()
+            G = an.clarke.generators().vertices
             rec.taus = _tau_grid([tau_d, tau_e, rec.eb])
             for tau in rec.taus:
                 rec.strong[tau] = check_strong_bcq(an, tau, MODE_CLARKE)[0]
                 rec.dirwise[tau] = _dirwise_strong_holds(W, G, tau, an.f.dim)
             rec.frechet_bcq, _, _ = check_frechet_bcq(an)
-            rec.d_frechet = distance_to_end_set(an.frechet.set, an.norm.dual())
+            rec.d_frechet = distance_to_end_set(an.frechet, an.norm.dual())
             rec.tau_f, _ = best_tau_endset(an, MODE_FRECHET)
             Wf = _ball_slice_vertices(an, an.normal_frechet)
-            Gf = an.frechet.vertices()
+            Gf = an.frechet.generators().vertices
             for tau in _tau_grid([rec.tau_f]):
                 rec.strong_f[tau] = check_strong_bcq(an, tau, MODE_FRECHET)[0]
                 rec.dirwise_f[tau] = _dirwise_strong_holds(Wf, Gf, tau, an.f.dim)
@@ -129,7 +129,7 @@ def test_criterion_1_remark_3_1():
     f = PLFunction(vmin(atom([-1]), atom([1])))  # phi(x) = -|x|
     an = Analysis(f, vec(0))
     normal_ok = an.normal_clarke.set_eq(HPolyhedron.single_point(zeros(1)))
-    sub_ok = an.clarke.set.set_eq(
+    sub_ok = an.clarke.set_eq(
         HPolyhedron(1, rows=[(vec(1), F(1)), (vec(-1), F(1))]))
     rep = analyze(f, vec(0))
     elapsed = time.perf_counter() - t0
@@ -197,7 +197,7 @@ def test_criterion_5_extended_suite():
     for inst in instances:
         for p in inst.basepoints:
             an = Analysis(inst.f, p)
-            if not an.clarke.set.is_empty:
+            if not an.clarke.is_empty:
                 for r in (F(1), F(1, 2)):
                     res = verify_prop32(an, r)
                     ok = ok and all(res.values())
@@ -207,8 +207,8 @@ def test_criterion_5_extended_suite():
     # the worked instance: f(x) = x on {x <= 0} at 0
     dom = HPolyhedron(1, rows=[(vec(1), F(0))])
     an = Analysis(PLFunction(atom([1]), domain=dom), vec(0))
-    ok = ok and an.clarke.set.set_eq(HPolyhedron(1, rows=[(vec(-1), F(-1))]))
-    ok = ok and an.singular.set.set_eq(HPolyhedron(1, rows=[(vec(-1), F(0))]))
+    ok = ok and an.clarke.set_eq(HPolyhedron(1, rows=[(vec(-1), F(-1))]))
+    ok = ok and an.singular.set_eq(HPolyhedron(1, rows=[(vec(-1), F(0))]))
     tau, flags = best_tau_endset(an, MODE_EXTENDED)
     ok = ok and tau == 0 and FLAG_ANY_TAU in flags
     ok = ok and check_strong_bcq(an, F(1, 1024), MODE_EXTENDED)[0]
@@ -300,8 +300,8 @@ def test_criterion_8_oracle_concordance():
         for p in inst.basepoints[:1]:
             an = Analysis(inst.f, p)
             S = an.solution_set
-            T = an.tangent_contingent.body
-            Tc = an.tangent_clarke.body
+            T = an.tangent_contingent
+            Tc = an.tangent_clarke
             hyps = [row[0] for piece in S.pieces for row in piece.rows]
             dirs = []
             while len(dirs) < 14:
@@ -314,7 +314,7 @@ def test_criterion_8_oracle_concordance():
                     continue  # degenerate direction per the rational margin
                 dirs.append(h)
             for h in dirs[:6]:
-                exact = float(an.clarke.set.support(h))
+                exact = float(an.clarke.support(h))
                 approx = sample_clarke_dirderiv(inst.f, p, h, plan)
                 agree += abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
                 total += 1
@@ -322,10 +322,10 @@ def test_criterion_8_oracle_concordance():
                 agree += (T.contains(h) == sample_contingent_membership(S, p, h, plan))
                 agree += (Tc.contains(h) == sample_clarke_tangent_membership(S, p, h, plan))
                 total += 2
-            for xs in an.frechet.vertices()[:3]:
+            for xs in an.frechet.generators().vertices[:3]:
                 agree += sample_frechet_subgradient_check(inst.f, p, xs, plan)
                 total += 1
-            outside = tuple(q + 10 for q in an.clarke.set.generators().vertices[0])
+            outside = tuple(q + 10 for q in an.clarke.generators().vertices[0])
             agree += not sample_frechet_subgradient_check(inst.f, p, outside, plan)
             total += 1
     rate = agree / total

@@ -59,7 +59,7 @@ from plcq.cq import (FLAG_CONVENTION, MODE_CLARKE, MODE_EXTENDED, MODE_FRECHET, 
 from plcq.instances import generate_corpus
 from plcq.linalg import INF, Vec, dot, is_zero, neg, vec, zeros
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, hull, minkowski_sum, nonneg_hull,
+from plcq.polyhedra import (HPolyhedron, NormSpec, hull, minkowski_sum, nonneg_hull,
                             polar_cone, scale_interval, segment_hull)
 from plcq.subdiff import NotLipschitz
 
@@ -128,7 +128,7 @@ def lifted_verify_prop32(an, r) -> dict:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale must be positive")
-    sub, sing = an.clarke.set, an.singular.set
+    sub, sing = an.clarke, an.singular
     if sub.is_empty:
         raise NotApplicable("empty Clarke subdifferential")
     if sub.recession().subset_of(sing) is not True:
@@ -146,7 +146,7 @@ def lifted_verify_prop32(an, r) -> dict:
 def lifted_prop41(an) -> bool:
     """cl([0,1]C) = [0,1]C for the Frechet subdifferential C; by the scaling
     lemma with K = {0} this decides every scale r > 0."""
-    sub = an.frechet.set
+    sub = an.frechet
     if sub.is_empty:
         raise NotApplicable("empty Frechet subdifferential")
     point0 = HPolyhedron.single_point(zeros(an.f.dim))
@@ -293,7 +293,7 @@ def verify_prop32(an: Analysis, r) -> dict:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale must be positive")
-    sub, sing = an.clarke.set, an.singular.set
+    sub, sing = an.clarke, an.singular
     if sub.is_empty:
         raise NotApplicable("empty Clarke subdifferential")
     if sub.recession().subset_of(sing) is not True:
@@ -391,7 +391,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
 
     def cor_3_1():
         bcq, d, tau_d, tau_e = clarke_setup()
-        if an.clarke.set.subset_of(an.normal_clarke) is not True:
+        if an.clarke.subset_of(an.normal_clarke) is not True:
             raise NotApplicable("needs the subdifferential inside the normal cone")
         d_sub = an.clarke_subdiff_distance
         if d != d_sub:
@@ -417,7 +417,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
         an.require_boundary()
         an.require_lipschitz()
         W = an.clarke_ball_slice
-        G = an.clarke.vertices()
+        G = an.clarke.generators().vertices
         tau_d, _ = best_tau_directional(an, MODE_CLARKE)
         for tau in _tau_grid([tau_d]):
             holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
@@ -431,7 +431,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
         an.require_lipschitz()
         bcq, _, _ = check_clarke_bcq(an)
         eb = error_bound_modulus(an)
-        incl = an.clarke.set.subset_of(an.normal_clarke) is True
+        incl = an.clarke.subset_of(an.normal_clarke) is True
         for tau in _tau_grid([eb]):
             holds, _ = check_strong_bcq(an, tau, MODE_CLARKE)
             rhs = bcq and eb is not INF and eb <= tau
@@ -473,7 +473,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
     run("cor3.3", cor_3_3)
 
     def prop_3_2():
-        if an.clarke.set.is_empty:
+        if an.clarke.is_empty:
             raise NotApplicable("empty Clarke subdifferential")
         for r in (Fraction(1), Fraction(1, 2), Fraction(3)):
             res = verify_prop32(an, r)
@@ -512,7 +512,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
     def cor_3_4():
         an.require_boundary()
         an.require_zero_level()
-        if an.clarke.set.is_empty or an.clarke.set.subset_of(an.normal_clarke) is not True:
+        if an.clarke.is_empty or an.clarke.subset_of(an.normal_clarke) is not True:
             raise NotApplicable("needs the subdifferential inside the normal cone")
         bcq, _, _ = check_extended_bcq(an)
         d_sub = an.clarke_subdiff_distance
@@ -528,7 +528,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
         an.require_zero_level()
         if not an.singular_is_zero:
             raise NotApplicable("needs a trivial singular subdifferential")
-        if an.clarke.set.subset_of(an.normal_clarke) is not True:
+        if an.clarke.subset_of(an.normal_clarke) is not True:
             raise NotApplicable("needs the subdifferential inside the normal cone")
         bcq, _, _ = check_clarke_bcq(an)
         d_sub = an.clarke_subdiff_distance
@@ -542,7 +542,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
     def prop_4_1():
         an.require_boundary()
         an.require_bounded_frechet()
-        sub = an.frechet.set
+        sub = an.frechet
         if sub.is_empty:
             raise NotApplicable("empty Frechet subdifferential")
         point0 = HPolyhedron.single_point(zeros(an.f.dim))
@@ -580,12 +580,12 @@ def grid_verify_theorems(an: Analysis) -> dict:
         an.require_bounded_frechet()
         bcq, _, _ = check_frechet_bcq(an)
         lhs = HPolyhedron(an.f.dim,
-                          [(g, Fraction(0)) for g in an.frechet.vertices()]).canonical()
-        rhs = an.tangent_contingent.body.convex_hull().canonical()
+                          [(g, Fraction(0)) for g in an.frechet.generators().vertices]).canonical()
+        rhs = an.tangent_contingent.convex_hull().canonical()
         eq48 = lhs.set_eq(rhs)
         if bcq and not eq48:
             return False
-        if not an.frechet.set.contains(zeros(an.f.dim)) and bcq != eq48:
+        if not an.frechet.contains(zeros(an.f.dim)) and bcq != eq48:
             return False
         return True
     run("prop4.2", prop_4_2)
@@ -595,7 +595,7 @@ def grid_verify_theorems(an: Analysis) -> dict:
         an.require_zero_level()
         an.require_bounded_frechet()
         W = an.frechet_ball_slice
-        G = an.frechet.vertices()
+        G = an.frechet.generators().vertices
         tau_d, _ = best_tau_directional(an, MODE_FRECHET)
         for tau in _tau_grid([tau_d]):
             holds, _ = check_strong_bcq(an, tau, MODE_FRECHET)
@@ -780,8 +780,7 @@ def test_extra_checks_fail_their_rows():
 
 def _sets(C, K):
     """An Analysis stand-in carrying only what verify_prop32 reads."""
-    return SimpleNamespace(clarke=SimpleNamespace(set=C), singular=SimpleNamespace(set=K),
-                           f=SimpleNamespace(dim=C.dim))
+    return SimpleNamespace(clarke=C, singular=K, f=SimpleNamespace(dim=C.dim))
 
 
 def _prop32_matches_reference(an) -> dict:
@@ -797,7 +796,7 @@ def test_prop32_matches_reference_on_corpora():
     checked = nontrivial = 0
     for f, p in _corpus():
         an = Analysis(f, p)
-        if an.clarke.set.is_empty:
+        if an.clarke.is_empty:
             continue
         assert all(_prop32_matches_reference(an).values()), (f, p)
         checked += 1
@@ -838,7 +837,7 @@ def test_prop32_solves_no_lp(monkeypatch):
            for inst in (generate_corpus(6, 1, seed=44, extended=True, max_atoms=5)
                         + generate_corpus(3, 2, seed=45, extended=True, max_atoms=4))
            for p in inst.basepoints]
-    ans = [an for an in ans if not an.clarke.set.is_empty]
+    ans = [an for an in ans if not an.clarke.is_empty]
     assert len(ans) >= 8 and not all(an.singular_is_zero for an in ans)
 
     def no_lp(*args, **kwargs):
@@ -924,14 +923,14 @@ def test_bcq_matches_references_on_corpora():
         an = Analysis(f, p)
         if not an.on_boundary:
             continue
-        assert check_clarke_bcq(an) == scaling_cone_bcq(an.normal_clarke, an.clarke.set)
-        assert check_frechet_bcq(an) == scaling_cone_bcq(an.normal_frechet, an.frechet.set)
+        assert check_clarke_bcq(an) == scaling_cone_bcq(an.normal_clarke, an.clarke)
+        assert check_frechet_bcq(an) == scaling_cone_bcq(an.normal_frechet, an.frechet)
         if an.phi_value == 0:
             holds, w, flags = check_extended_bcq(an)
-            ref = closed_hull_cone_bcq(an.normal_clarke, an.clarke.set, an.singular.set)
+            ref = closed_hull_cone_bcq(an.normal_clarke, an.clarke, an.singular)
             assert (holds, w is None, flags) == (ref[0], ref[1] is None, ref[2])
             seen["extended"] += 1
-        _check_bcq(an.normal_clarke, an.clarke.set, an.singular.set, seen)
+        _check_bcq(an.normal_clarke, an.clarke, an.singular, seen)
         seen["points"] += 1
     assert seen["points"] >= 40 and seen["extended"] >= 30 and seen["plain_fails"] >= 3, seen
 
@@ -949,7 +948,7 @@ def _check_props(an, seen: Counter):
         got = cq.verify_prop32(an, r)
         assert got == lifted_verify_prop32(an, r), r
     seen.update(name for name, holds in got.items() if not holds)
-    if not an.frechet.set.is_empty:
+    if not an.frechet.is_empty:
         assert cq._prop41(an) == lifted_prop41(an)
         seen["prop41"] += 1
 
@@ -958,7 +957,7 @@ def test_prop32_and_prop41_match_lifted_reference_on_corpora():
     seen = Counter()
     for f, p in _corpus():
         an = Analysis(f, p)
-        if not an.clarke.set.is_empty:
+        if not an.clarke.is_empty:
             _check_props(an, seen)
     assert seen["prop41"] >= 40, seen
 
@@ -968,7 +967,7 @@ def test_prop32_and_prop41_match_lifted_reference_on_random_pairs():
     for _, C, K in _random_triples(72, 60):
         if not C.is_empty:
             an = _sets(C, K)
-            an.frechet = SimpleNamespace(set=C)
+            an.frechet = C
             _check_props(an, seen)
     assert seen["prop41"] >= 40 and seen["ii"] >= 10 and seen["iv"] >= 1, seen
 
@@ -977,11 +976,11 @@ def test_prop32_and_prop41_stay_in_dimension_n_plus_1(monkeypatch):
     # hom(C) + K x {0} lives in R^(n+1), so no conversion goes beyond the
     # homogenized R^(n+2); the lifted (z, t, k) cone needed R^(2n+2)
     ans = [Analysis(f, p) for f, p in _corpus()]
-    ans = [an for an in ans if not an.clarke.set.is_empty and not an.frechet.set.is_empty]
+    ans = [an for an in ans if not an.clarke.is_empty and not an.frechet.is_empty]
     for _, C, K in _random_triples(73, 40):
         if not C.is_empty:
             an = _sets(C, K)
-            an.frechet = SimpleNamespace(set=C)
+            an.frechet = C
             ans.append(an)
     assert len(ans) >= 80 and sum(an.f.dim == 3 for an in ans) >= 10
     dims = []
@@ -1010,20 +1009,20 @@ def _check_tau_quantities(an, seen: dict) -> None:
         pass
     else:
         # the polar of {h : g.h <= 0 for every gradient g} is cone(G)
-        W = _ball_slice_vertices(an, polar_cone(ConeSet(an.sublevel_cone)).body)
-        assert modulus == _best_tau_cells(W, an.clarke.vertices(), an.f.dim)
+        W = _ball_slice_vertices(an, polar_cone(an.sublevel_cone))
+        assert modulus == _best_tau_cells(W, an.clarke.generators().vertices, an.f.dim)
         seen["modulus"] += 1
     if not an.on_boundary:
         return
     # the normal cones as the cones module builds them from S itself
-    Nc = clarke_normal_cone(an.solution_set, an.x).body.canonical()
-    Nf = frechet_normal_cone(an.solution_set, an.x).body.canonical()
+    Nc = clarke_normal_cone(an.solution_set, an.x).canonical()
+    Nf = frechet_normal_cone(an.solution_set, an.x).canonical()
     assert (an.normal_clarke.rows, an.normal_clarke.eqs) == (Nc.rows, Nc.eqs)
     assert (an.normal_frechet.rows, an.normal_frechet.eqs) == (Nf.rows, Nf.eqs)
     point0 = HPolyhedron.single_point(zeros(an.f.dim))
-    for mode, N, C, K in ((MODE_CLARKE, Nc, an.clarke.set, point0),
-                          (MODE_EXTENDED, Nc, an.clarke.set, an.singular.set),
-                          (MODE_FRECHET, Nf, an.frechet.set, point0)):
+    for mode, N, C, K in ((MODE_CLARKE, Nc, an.clarke, point0),
+                          (MODE_EXTENDED, Nc, an.clarke, an.singular),
+                          (MODE_FRECHET, Nf, an.frechet, point0)):
         try:
             table = strong_bcq_thresholds(an, mode)
         except NotApplicable:
@@ -1038,7 +1037,7 @@ def _check_tau_quantities(an, seen: dict) -> None:
         except NotApplicable:
             continue
         W = _ball_slice_vertices(an, N)
-        assert tau == _best_tau_cells(W, sub.vertices(), an.f.dim), mode
+        assert tau == _best_tau_cells(W, sub.generators().vertices, an.f.dim), mode
         seen["directional"] += 1
 
 
@@ -1087,8 +1086,8 @@ def test_extended_thresholds_use_the_sum_with_the_singular_cone():
     an = Analysis(PLFunction(atom([1, 1])), vec(0, 0))
     C = HPolyhedron.single_point(vec(0, 1))
     K = HPolyhedron(2, rows=[(vec(-1, 0), F(0))], eqs=[(vec(0, 1), F(0))])
-    an.__dict__["clarke"] = SimpleNamespace(set=C)
-    an.__dict__["singular"] = SimpleNamespace(set=K)
+    an.__dict__["clarke"] = C
+    an.__dict__["singular"] = K
     table = strong_bcq_thresholds(an, MODE_EXTENDED)
     assert table == tuple((v, _scaled_sum_threshold(v, C, K)) for v in an.clarke_ball_slice)
     assert table == ((vec(0, 0), F(0)), (vec(F(1, 2), F(1, 2)), F(1, 2)))

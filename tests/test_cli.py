@@ -29,6 +29,15 @@ KINK = {
 }
 
 
+PLANE = {
+    "version": 1, "name": "plane", "dim": 2,
+    "expr": {"op": "max", "args": [
+        {"op": "atom", "g": ["1", "0"], "c": "0"},
+        {"op": "atom", "g": ["0", "1"], "c": "0"}]},
+    "basepoints": [["0", "0"]],
+}
+
+
 def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -96,6 +105,14 @@ def test_verify_empty_corpus(tmp_path, capsys):
     assert "instances=0" in capsys.readouterr().out
 
 
+def test_verify_missing_corpus_is_an_input_error(tmp_path, capsys):
+    # a mistyped directory once verified zero instances and exited 0
+    assert main(["verify", str(tmp_path / "no-such-dir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: corpus ") and err.count("\n") == 1
+    assert main(["verify", write(tmp_path, "kink.json", KINK)]) == 2
+
+
 def test_verify_corpus_dir(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -110,6 +127,16 @@ def test_verify_corpus_dir(tmp_path):
 def test_oracle_compare(tmp_path):
     path = write(tmp_path, "kink.json", KINK)
     assert main(["oracle-compare", path, "--seed", "5"]) == 0
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_oracle_compare_rejects_a_bad_tolerance(tmp_path, capsys, tolerance):
+    # --tolerance -1 once reported 30/57 agreement and exited 1, the code of a
+    # failed identity
+    path = write(tmp_path, "kink.json", KINK)
+    assert main(["oracle-compare", path, "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --tolerance") and err.count("\n") == 1
 
 
 def test_bad_input_exit_code(tmp_path, capsys):
@@ -221,6 +248,23 @@ def test_domain_row_of_unknown_type_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    # each of these once parsed: a string vector one character per coordinate,
+    # a float or bool dim truncated to an int
+    (dict(PLANE, expr={"op": "atom", "g": "10", "c": "0"}),
+     "atom gradient must be a JSON array, not str"),
+    (dict(KINK, basepoints="12"), "basepoints must be a JSON array, not str"),
+    (dict(PLANE, basepoints=["00"]), "basepoint must be a JSON array, not str"),
+    (dict(PLANE, domain=[{"a": "10", "b": "0"}]), "'a' must be a JSON array, not str"),
+    (dict(KINK, dim=1.9), "dim must be a JSON integer, not 1.9"),
+    (dict(KINK, dim=True), "dim must be a JSON integer, not True"),
+])
+def test_vector_or_dim_of_the_wrong_json_type_is_an_input_error(tmp_path, capsys, doc, message):
+    rc, err = _analyze_exit(tmp_path, capsys, json.dumps(doc))
+    assert rc == 2 and err.startswith("input error: ") and message in err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_non_object_document_is_an_input_error(tmp_path, capsys):
     rc, err = _analyze_exit(tmp_path, capsys, json.dumps([KINK]))
     assert rc == 2 and "JSON object" in err
@@ -269,3 +313,17 @@ def test_failed_self_check_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("internal error: "
                                        "subdifferential/tangent-cone duality failed\n")
     assert not (tmp_path / "rep.json").exists()
+
+
+def test_failed_self_check_while_generating_is_an_internal_error(capsys, monkeypatch):
+    # a self-check that fails while drawing basepoints once only discarded
+    # the draw; it must end the run like any other failed self-check
+    import plcq.instances as instances_mod
+
+    def broken(S, x):
+        raise RuntimeError("relative-interior witness lies inside the union")
+
+    monkeypatch.setattr(instances_mod, "is_boundary_point", broken)
+    assert main(["verify", "--generate", "2", "--dim", "1", "--seed", "3"]) == 3
+    assert capsys.readouterr().err == ("internal error: "
+                                       "relative-interior witness lies inside the union\n")

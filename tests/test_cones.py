@@ -23,13 +23,13 @@ def two_rays():
 def test_contingent_examples():
     half = UnionPolyhedron([HPolyhedron(1, rows=[(vec(1), F(0))])])
     T = contingent_cone(half, vec(0))
-    assert T.body.pieces[0].set_eq(HPolyhedron(1, rows=[(vec(1), F(0))]))
+    assert T.pieces[0].set_eq(HPolyhedron(1, rows=[(vec(1), F(0))]))
     point = UnionPolyhedron([HPolyhedron.single_point(vec(0))])
-    assert contingent_cone(point, vec(0)).body.pieces[0].set_eq(
+    assert contingent_cone(point, vec(0)).pieces[0].set_eq(
         HPolyhedron.single_point(vec(0)))
     T2 = contingent_cone(two_rays(), zeros(2))
-    assert T2.body.contains(vec(2, 0)) and T2.body.contains(vec(0, 3))
-    assert not T2.body.contains(vec(1, 1)) and not T2.body.contains(vec(-1, 0))
+    assert T2.contains(vec(2, 0)) and T2.contains(vec(0, 3))
+    assert not T2.contains(vec(1, 1)) and not T2.contains(vec(-1, 0))
 
 
 def test_contingent_outside_raises():
@@ -42,34 +42,34 @@ def test_clarke_tangent_examples():
     # convex: coincides with the contingent cone
     P = UnionPolyhedron([hull([vec(0, 0), vec(1, 0), vec(0, 1)])])
     Tc = clarke_tangent_cone(P, vec(0, 0))
-    assert Tc.body.set_eq(contingent_cone(P, vec(0, 0)).body.pieces[0])
+    assert Tc.set_eq(contingent_cone(P, vec(0, 0)).pieces[0])
     # two rays: {0}
     Tc2 = clarke_tangent_cone(two_rays(), zeros(2))
-    assert Tc2.body.set_eq(HPolyhedron.single_point(zeros(2)))
+    assert Tc2.set_eq(HPolyhedron.single_point(zeros(2)))
     # full space
     full = UnionPolyhedron([HPolyhedron.full_space(2)])
-    assert clarke_tangent_cone(full, zeros(2)).body.set_eq(HPolyhedron.full_space(2))
+    assert clarke_tangent_cone(full, zeros(2)).set_eq(HPolyhedron.full_space(2))
 
 
 def test_normal_cone_examples():
     half = UnionPolyhedron([HPolyhedron(1, rows=[(vec(1), F(0))])])
-    assert clarke_normal_cone(half, vec(0)).body.set_eq(
+    assert clarke_normal_cone(half, vec(0)).set_eq(
         HPolyhedron(1, rows=[(vec(-1), F(0))]))
     full = UnionPolyhedron([HPolyhedron.full_space(1)])
-    assert clarke_normal_cone(full, vec(0)).body.set_eq(HPolyhedron.single_point(vec(0)))
-    assert clarke_normal_cone(two_rays(), zeros(2)).body.set_eq(HPolyhedron.full_space(2))
+    assert clarke_normal_cone(full, vec(0)).set_eq(HPolyhedron.single_point(vec(0)))
+    assert clarke_normal_cone(two_rays(), zeros(2)).set_eq(HPolyhedron.full_space(2))
     third_quadrant = HPolyhedron(2, rows=[(vec(1, 0), F(0)), (vec(0, 1), F(0))])
-    assert frechet_normal_cone(two_rays(), zeros(2)).body.set_eq(third_quadrant)
+    assert frechet_normal_cone(two_rays(), zeros(2)).set_eq(third_quadrant)
     fullN = UnionPolyhedron([HPolyhedron.full_space(3)])
-    assert frechet_normal_cone(fullN, zeros(3)).body.set_eq(
+    assert frechet_normal_cone(fullN, zeros(3)).set_eq(
         HPolyhedron.single_point(zeros(3)))
 
 
 def test_isolated_point_degenerate():
     A = UnionPolyhedron([HPolyhedron.single_point(vec(2))])
-    assert contingent_cone(A, vec(2)).body.pieces[0].set_eq(HPolyhedron.single_point(vec(0)))
-    assert clarke_tangent_cone(A, vec(2)).body.set_eq(HPolyhedron.single_point(vec(0)))
-    assert clarke_normal_cone(A, vec(2)).body.set_eq(HPolyhedron.full_space(1))
+    assert contingent_cone(A, vec(2)).pieces[0].set_eq(HPolyhedron.single_point(vec(0)))
+    assert clarke_tangent_cone(A, vec(2)).set_eq(HPolyhedron.single_point(vec(0)))
+    assert clarke_normal_cone(A, vec(2)).set_eq(HPolyhedron.full_space(1))
 
 
 def _random_union(rng, dim, k):
@@ -102,12 +102,12 @@ def test_cone_inclusions_random(rng):
         Tc = clarke_tangent_cone(U, a)
         Nc = clarke_normal_cone(U, a)
         Nf = frechet_normal_cone(U, a)
-        assert union_subset(Nf.body, UnionPolyhedron([Nc.body])) is True
-        assert union_subset(UnionPolyhedron([Tc.body]), T.body) is True
-        assert Tc.body.set_eq(Tc.body.canonical())
+        assert union_subset(Nf, UnionPolyhedron([Nc])) is True
+        assert union_subset(UnionPolyhedron([Tc]), T) is True
+        assert Tc.set_eq(Tc.canonical())
         if len([p for p in U.pieces if p.contains(a)]) == 1 and len(U.pieces) == 1:
-            assert Tc.body.set_eq(T.body.pieces[0])
-            assert Nf.body.set_eq(Nc.body)
+            assert Tc.set_eq(T.pieces[0])
+            assert Nf.set_eq(Nc)
         done += 1
 
 
@@ -132,8 +132,8 @@ def test_cones_agree_with_sampling_oracle(rng):
         if U is None:
             continue
         a = _some_point(rng, U)
-        T = contingent_cone(U, a).body
-        Tc = clarke_tangent_cone(U, a).body
+        T = contingent_cone(U, a)
+        Tc = clarke_tangent_cone(U, a)
         hyps = [row[0] for p in U.pieces for row in p.rows]
         for _ in range(25):
             v = random_point(rng, dim)

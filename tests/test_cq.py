@@ -65,9 +65,9 @@ def test_strong_bcq_examples():
 
 def _mode_sets(an, mode):
     point0 = HPolyhedron.single_point(zeros(an.f.dim))
-    return {MODE_CLARKE: (an.normal_clarke, an.clarke.set, point0),
-            MODE_EXTENDED: (an.normal_clarke, an.clarke.set, an.singular.set),
-            MODE_FRECHET: (an.normal_frechet, an.frechet.set, point0)}[mode]
+    return {MODE_CLARKE: (an.normal_clarke, an.clarke, point0),
+            MODE_EXTENDED: (an.normal_clarke, an.clarke, an.singular),
+            MODE_FRECHET: (an.normal_frechet, an.frechet, point0)}[mode]
 
 
 def _per_tau_strong_bcq(an, tau, mode):
@@ -132,7 +132,7 @@ def test_threshold_cases():
     # v in K: threshold 0, and the extended inclusion holds at every tau
     an = domain_instance()
     table = strong_bcq_thresholds(an, MODE_EXTENDED)
-    assert table and all(an.singular.set.contains(v) and t == 0 for v, t in table)
+    assert table and all(an.singular.contains(v) and t == 0 for v, t in table)
     assert check_strong_bcq(an, F(1, 1024), MODE_EXTENDED) == (True, None)
     # empty C: only the points of K are reached
     empty = HPolyhedron(1, rows=[(vec(1), F(-1)), (vec(-1), F(-1))])
@@ -308,8 +308,8 @@ def test_verify_prop32_examples():
 
 def test_extended_bcq_and_values_on_domain_instance():
     an = domain_instance()
-    assert an.clarke.set.set_eq(HPolyhedron(1, rows=[(vec(-1), F(-1))]))
-    assert an.singular.set.set_eq(HPolyhedron(1, rows=[(vec(-1), F(0))]))
+    assert an.clarke.set_eq(HPolyhedron(1, rows=[(vec(-1), F(-1))]))
+    assert an.singular.set_eq(HPolyhedron(1, rows=[(vec(-1), F(0))]))
     assert check_extended_bcq(an)[0]
 
 
@@ -341,7 +341,7 @@ def test_self_checks_raise():
     # each check guards a fact of the mathematics: with one cached object
     # corrupted it must raise, also where asserts would be stripped
     an = domain_instance()  # Clarke subdifferential [1, oo), singular cone [0, oo)
-    an.__dict__["singular"] = SimpleNamespace(set=HPolyhedron.single_point(zeros(1)))
+    an.__dict__["singular"] = HPolyhedron.single_point(zeros(1))
     with pytest.raises(RuntimeError, match="singular cone"):
         check_extended_bcq(an)
     with pytest.raises(RuntimeError, match="singular cone"):
@@ -447,7 +447,7 @@ def test_frechet_bcq_below_zero_level():
     assert x in inst.basepoints
     an = Analysis(inst.f, x)
     assert an.on_boundary and an.phi_value == F(-15, 4)
-    assert an.frechet.set.subset_of(an.normal_frechet) is not True
+    assert an.frechet.subset_of(an.normal_frechet) is not True
     assert check_frechet_bcq(an)[0] is False
     rep = analyze(inst.f, x)
     assert rep.frechet_bcq is False

@@ -113,14 +113,14 @@ def test_epigraph_membership_matches_evaluation(rng):
 
 def test_local_cells_examples():
     f = PLFunction(vmax(atom([1]), atom([-1])))
-    cells = f.local_cells(vec(0)).cells
+    cells = f.local_cells(vec(0))
     got = {(c[0].canonical().rows, c[1]) for c in cells}
     assert got == {(((vec(-1), F(0)),), vec(1)), (((vec(1), F(0)),), vec(-1))}
     aff = PLFunction(atom([2, 1], 3))
-    cells = aff.local_cells(vec(5, -2)).cells
+    cells = aff.local_cells(vec(5, -2))
     assert len(cells) == 1 and cells[0][1] == vec(2, 1) and cells[0][0].is_full_dim()
     h = PLFunction(vmax(atom([-1]), atom([F(1, 2)])))
-    got = {(c[0].canonical().rows, c[1]) for c in h.local_cells(vec(0)).cells}
+    got = {(c[0].canonical().rows, c[1]) for c in h.local_cells(vec(0))}
     assert got == {(((vec(1), F(0)),), vec(-1)), (((vec(-1), F(0)),), vec(F(1, 2)))}
 
 
@@ -129,9 +129,9 @@ def test_local_cells_cover_and_are_affine(rng):
         dim = rng.randint(1, 2)
         f = PLFunction(random_expr(rng, dim, rng.randint(2, 6)))
         x = random_point(rng, dim)
-        complex_ = f.local_cells(x)
+        cells = f.local_cells(x)
         fx = f.value(x)
-        for region, g, off in complex_.cells:
+        for region, g, off in cells:
             assert off == fx - dot(g, x)
             v = region.generators()
             # check affinity along three interior directions of the cell

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import plcq
 from plcq import simplex
 from plcq.linalg import INF, add, dot, scale, vec, zeros
-from plcq.polyhedra import (ConeSet, HPolyhedron, NormSpec, UnionPolyhedron, VRep,
+from plcq.polyhedra import (HPolyhedron, NormSpec, UnionPolyhedron, VRep,
                             distance, hull, minkowski_sum,
                             nonneg_hull, polar_cone, segment_hull,
                             support_function, union_subset, union_set_eq)
@@ -114,14 +114,22 @@ def test_hull_requires_points():
 # -- polars ------------------------------------------------------------------------
 
 def test_polar_examples():
-    K = ConeSet(HPolyhedron(1, rows=[(vec(-1), F(0))]))  # x >= 0
-    assert polar_cone(K).body.canonical().rows == ((vec(1), F(0)),)
-    full = ConeSet(HPolyhedron.full_space(2))
-    assert polar_cone(full).body.set_eq(HPolyhedron.single_point(zeros(2)))
-    two_rays = ConeSet(UnionPolyhedron([hull([zeros(2)], rays=[vec(1, 0)]),
-                                        hull([zeros(2)], rays=[vec(0, 1)])]))
+    K = HPolyhedron(1, rows=[(vec(-1), F(0))])  # x >= 0
+    assert polar_cone(K).canonical().rows == ((vec(1), F(0)),)
+    full = HPolyhedron.full_space(2)
+    assert polar_cone(full).set_eq(HPolyhedron.single_point(zeros(2)))
+    two_rays = UnionPolyhedron([hull([zeros(2)], rays=[vec(1, 0)]),
+                                hull([zeros(2)], rays=[vec(0, 1)])])
     third_quadrant = HPolyhedron(2, rows=[(vec(1, 0), F(0)), (vec(0, 1), F(0))])
-    assert polar_cone(two_rays).body.set_eq(third_quadrant)
+    assert polar_cone(two_rays).set_eq(third_quadrant)
+
+
+def test_polar_rejects_a_piece_with_an_offset():
+    # [1, oo) is no cone: its generators would give the polar of [0, oo)
+    ray = HPolyhedron(1, rows=[(vec(-1), F(-1))])
+    for K in (ray, UnionPolyhedron([HPolyhedron(1, rows=[(vec(1), F(0))]), ray])):
+        with pytest.raises(ValueError, match="nonzero offset"):
+            polar_cone(K)
 
 
 def test_polar_involution_is_convex_hull(rng):
@@ -129,14 +137,13 @@ def test_polar_involution_is_convex_hull(rng):
     for _ in range(25):
         dim = rng.randint(1, 3)
         K = random_polyhedron(rng, dim, kind="cone")
-        cs = ConeSet(K)
-        back = polar_cone(polar_cone(cs)).body
+        back = polar_cone(polar_cone(K))
         assert back.set_eq(K.canonical())
     # and for a union it is the hull of the union
     r1 = hull([zeros(2)], rays=[vec(1, 0)])
     r2 = hull([zeros(2)], rays=[vec(0, 1)])
-    u = ConeSet(UnionPolyhedron([r1, r2]))
-    back = polar_cone(polar_cone(u)).body
+    u = UnionPolyhedron([r1, r2])
+    back = polar_cone(polar_cone(u))
     assert back.set_eq(hull([zeros(2)], rays=[vec(1, 0), vec(0, 1)]))
 
 
@@ -283,7 +290,6 @@ def test_l2_distance_to_corrupted_polyhedron_raises():
 _CORRUPTED_INPUT_SCRIPT = """
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 from plcq import subdiff
 from plcq.linalg import INF, vec
 from plcq.oracle import SamplePlan, sample_frechet_subgradient_check
@@ -314,7 +320,7 @@ subdiff.support_function = lambda C, h: INF
 attempt(lambda: subdiff.clarke_dirderiv(PLFunction(atom([1])), vec(0), vec(1)))
 subdiff.support_function = real_support
 # singular subdifferential from a normal cone whose slice at 0 is no cone
-fake = SimpleNamespace(body=HPolyhedron(2, rows=[(vec(1, 0), Fraction(1))]))
+fake = HPolyhedron(2, rows=[(vec(1, 0), Fraction(1))])
 subdiff.clarke_normal_cone = lambda S, z: fake
 attempt(lambda: subdiff.clarke_singular_subdiff(PLFunction(atom([1])), vec(0)))
 """

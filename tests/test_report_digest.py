@@ -1,4 +1,4 @@
-"""Golden digests of `analyze` reports.
+"""Golden digests of `analyze`, `endset` and `oracle-compare` outputs.
 
 Two fixed report sets are serialized as `plcq analyze` writes them and
 hashed:
@@ -9,7 +9,11 @@ hashed:
   boundary basepoints, and one 4x4 max-of-min tree in R^2 at a kink where
   two atoms of one branch are tight, both in linf and l1.
 
-Every refactor that promises byte-identical reports must leave both digests
+A third digest covers the other two commands on one written-out and six
+generated instances: the `plcq endset --out` JSON and stdout for every
+`--set` in linf, l1 and l2, and the `plcq oracle-compare --out` JSON.
+
+Every refactor that promises byte-identical reports must leave all digests
 unchanged; a change that alters a report on purpose records the new digest
 here and says why.
 """
@@ -18,16 +22,17 @@ import hashlib
 import json
 from fractions import Fraction
 
-from plcq.cli import report_to_obj
+from plcq.cli import main, report_to_obj
 from plcq.cq import analyze
-from plcq.instances import generate_corpus
+from plcq.instances import Instance, dump_instance, generate_corpus
 from plcq.plfunc import PLFunction, atom, vmax, vmin
-from plcq.polyhedra import NormSpec
+from plcq.polyhedra import HPolyhedron, NormSpec
 
 F = Fraction
 
 GOLDEN_SHA256 = "9720b45e867dad29a5d3fc5351627781d5a02754a4593cffb2182d8d25a92766"
 GOLDEN_SHA256_DIM3_TREE = "4eda4e2082faa392f6c88fcc850dd41f828779bb10b0e3e3460379c6c559adfb"
+GOLDEN_SHA256_ENDSET_ORACLE = "dbc280e661b717727c0d39f008580b44fce61b88e109a974a94cf19f0d2aa514"
 
 
 def _wide_tree() -> PLFunction:
@@ -66,6 +71,30 @@ def _dim3_and_tree_reports():
             yield report_to_obj(analyze(f, p, NormSpec(norm)))
 
 
+def _endset_and_oracle_outputs(tmp_path, capsys):
+    """min(max(x, y), max(-x, -y)) on x + y <= 1, at the origin (nonconvex
+    germ: empty Frechet subdifferential) and at a domain boundary point (not
+    Lipschitz), then generated instances."""
+    cross = PLFunction(vmin(vmax(atom([1, 0]), atom([0, 1])), vmax(atom([-1, 0]), atom([0, -1]))),
+                       domain=HPolyhedron(2, rows=[((F(1), F(1)), F(1))]))
+    insts = ([Instance("cross", cross, [(F(0), F(0)), (F(1, 2), F(1, 2))])]
+             + generate_corpus(2, 1, seed=81, max_atoms=4)
+             + generate_corpus(2, 1, seed=82, extended=True, max_atoms=4)
+             + generate_corpus(1, 2, seed=83, max_atoms=4)
+             + generate_corpus(1, 2, seed=84, extended=True, max_atoms=4))
+    for k, inst in enumerate(insts):
+        path = tmp_path / ("inst%d.json" % k)
+        dump_instance(inst, path)
+        out = tmp_path / "out.json"
+        for which in ("clarke", "frechet", "intersection"):
+            for norm in ("linf", "l1", "l2"):
+                assert main(["endset", str(path), "--set", which, "--norm", norm,
+                             "--out", str(out)]) == 0
+                yield {"endset": json.loads(out.read_text()), "stdout": capsys.readouterr().out}
+        assert main(["oracle-compare", str(path), "--out", str(out)]) == 0
+        yield {"oracle": json.loads(out.read_text()), "stdout": capsys.readouterr().out}
+
+
 def _digest(reports) -> str:
     text = json.dumps(reports, indent=2, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -81,3 +110,9 @@ def test_dim3_and_wide_tree_reports_match_golden_digest():
     reports = list(_dim3_and_tree_reports())
     assert len(reports) == 16
     assert _digest(reports) == GOLDEN_SHA256_DIM3_TREE
+
+
+def test_endset_and_oracle_outputs_match_golden_digest(tmp_path, capsys):
+    outputs = list(_endset_and_oracle_outputs(tmp_path, capsys))
+    assert len(outputs) == 70
+    assert _digest(outputs) == GOLDEN_SHA256_ENDSET_ORACLE
