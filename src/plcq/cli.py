@@ -231,7 +231,6 @@ def cmd_oracle_compare(args) -> int:
     rng = random.Random(args.seed)
     agree = 0
     total = 0
-    details = []
     for p in inst.basepoints:
         an = Analysis(inst.f, p, inst.norm)
         dirs = []
@@ -247,7 +246,6 @@ def cmd_oracle_compare(args) -> int:
                 ok = abs(float(exact) - approx) <= 1e-5 * max(1.0, abs(float(exact)))
                 agree += ok
                 total += 1
-                details.append({"kind": "clarke_dirderiv", "ok": ok})
         if an.in_solution_set:
             T = an.tangent_contingent
             Tc = an.tangent_clarke
@@ -261,12 +259,10 @@ def cmd_oracle_compare(args) -> int:
                 ok2 = Tc.contains(h) == sample_clarke_tangent_membership(S, p, h, plan)
                 agree += ok1 + ok2
                 total += 2
-                details.append({"kind": "tangent_membership", "ok": ok1 and ok2})
         for v in an.frechet.generators().vertices[:4]:
             ok = sample_frechet_subgradient_check(inst.f, p, v, plan)
             agree += ok
             total += 1
-            details.append({"kind": "frechet_member", "ok": ok})
     rate = agree / total if total else 1.0
     print("oracle agreement: %d/%d (%.2f%%)" % (agree, total, 100.0 * rate))
     if args.out:

@@ -84,17 +84,25 @@ def expr_dim(expr) -> int:
     return len(expr_atoms(expr)[0].g)
 
 
-def _sublevel_dnf(expr) -> list[list]:
-    """{x : expr(x) <= 0} as a union (list) of conjunctions of rows."""
+def _sublevel_pieces(expr, dim: int) -> list[HPolyhedron]:
+    """{x : expr(x) <= 0} as a list of pieces, built bottom-up: an atom gives
+    a halfspace, a min node the concatenation of its children's pieces, a
+    max node the pairwise intersections of its children's pieces, folded.
+    Before two operands that both have several pieces are multiplied, each
+    is reduced to its canonical union: a piece inside another only ever
+    meets the same later pieces, so dropping it loses no maximal piece."""
     if isinstance(expr, Atom):
-        return [[(expr.g, -expr.c)]]
-    parts = [_sublevel_dnf(ch) for ch in expr.children]
+        return [HPolyhedron(dim, [(expr.g, -expr.c)])]
+    parts = [_sublevel_pieces(ch, dim) for ch in expr.children]
     if isinstance(expr, Min):
-        return [conj for p in parts for conj in p]
-    out = parts[0]
-    for p in parts[1:]:
-        out = [c1 + c2 for c1 in out for c2 in p]
-    return out
+        return [P for part in parts for P in part]
+    acc = parts[0]
+    for part in parts[1:]:
+        if len(acc) > 1 and len(part) > 1:
+            acc = list(UnionPolyhedron(acc, dim).canonical().pieces)
+            part = list(UnionPolyhedron(part, dim).canonical().pieces)
+        acc = [P.intersect(Q) for P in acc for Q in part]
+    return acc
 
 
 def _lift_expr(expr):
@@ -121,6 +129,9 @@ class PLFunction:
         self._solution: UnionPolyhedron | None = None
         self._epigraph: UnionPolyhedron | None = None
         self._germs: dict[Vec, PLFunction] = {}
+        # normal cones of the epigraph at the origin, by cone map; subdiff
+        # reads its slices off a germ's entries
+        self._epi_normals: dict = {}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -149,14 +160,14 @@ class PLFunction:
     # -- derived sets -----------------------------------------------------------
 
     def solution_set(self) -> UnionPolyhedron:
-        """{x in dom f : f(x) <= 0} as a union of polyhedra."""
+        """{x in dom f : f(x) <= 0} as a canonical union of polyhedra: the
+        pieces of the tree built bottom-up, each met with the domain once at
+        the end.  Its pieces are the maximal sets among the DNF conjunctions
+        met with the domain, though the DNF is never expanded in full."""
         if self._solution is None:
-            pieces = []
-            for conj in _sublevel_dnf(self.expr):
-                P = HPolyhedron(self.dim, conj)
-                if self.domain is not None:
-                    P = P.intersect(self.domain)
-                pieces.append(P)
+            pieces = _sublevel_pieces(self.expr, self.dim)
+            if self.domain is not None:
+                pieces = [P.intersect(self.domain) for P in pieces]
             self._solution = UnionPolyhedron(pieces, self.dim).canonical()
         return self._solution
 

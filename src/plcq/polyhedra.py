@@ -493,19 +493,23 @@ class UnionPolyhedron:
         return any(p.contains(x) for p in self.pieces)
 
     def canonical(self) -> UnionPolyhedron:
-        """Nonempty canonical pieces, duplicates and absorbed pieces removed."""
+        """Nonempty canonical pieces, duplicates and absorbed pieces removed,
+        sorted by key.  After key dedup no two pieces are set-equal, so a
+        running set of maximal pieces gives exactly the maximal pieces in
+        any order: a piece inside a kept one is dropped, otherwise the kept
+        pieces inside it are dropped and it is kept."""
         if self._canonical is not None:
             return self._canonical
         pieces = [p.canonical() for p in self.pieces if not p.is_empty]
         seen = {}
         for p in pieces:
             seen[p.key()] = p
-        pieces = list(seen.values())
-        # after key dedup no two pieces are set-equal, so absorption is safe
         out = []
-        for i, p in enumerate(pieces):
-            if not any(j != i and p.subset_of(q) is True for j, q in enumerate(pieces)):
-                out.append(p)
+        for p in seen.values():
+            if any(p.subset_of(q) is True for q in out):
+                continue
+            out = [q for q in out if q.subset_of(p) is not True]
+            out.append(p)
         u = UnionPolyhedron(sorted(out, key=lambda p: p.key()), self.dim)
         u._canonical = u
         self._canonical = u

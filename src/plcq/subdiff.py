@@ -25,8 +25,13 @@ class NotLipschitz(Exception):
 def _epi_slice(f: PLFunction, x: Vec, normal_cone, level) -> HPolyhedron:
     """{x* : (x*, level) in normal_cone(epi f, (x, f(x)))}, canonical.  A normal
     cone depends only on the set near its point, and near (x, f(x)) epi f is
-    (x, f(x)) + epi(germ of f at x): the cone is read at the germ's origin."""
-    N = normal_cone(f.germ(x).epigraph(), zeros(f.dim + 1))
+    (x, f(x)) + epi(germ of f at x): the cone is read at the germ's origin,
+    built once per germ and cone map, so the Clarke and singular slices
+    share one Clarke normal cone."""
+    germ = f.germ(x)
+    N = germ._epi_normals.get(normal_cone)
+    if N is None:
+        N = germ._epi_normals[normal_cone] = normal_cone(germ.epigraph(), zeros(f.dim + 1))
     return N.slice_last(level).canonical()
 
 

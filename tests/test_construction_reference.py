@@ -7,7 +7,8 @@ are kept here as references:
   of the norm's unit ball;
 - the epigraph, once its own DNF expansion of the lifted tree with the
   domain rows lifted by hand, now the solution set of (x, r) -> f(x) - r
-  on dom f x R;
+  on dom f x R (the DNF it expanded is the verbatim copy in
+  tests/test_sublevel_reference.py);
 - the directional derivative, once a recursion over the active children
   with atoms read as g.h, now the germ of f at x evaluated at h;
 - the Clarke, singular and Frechet subdifferentials, once slices of normal
@@ -29,11 +30,12 @@ from plcq import simplex
 from plcq.cones import clarke_normal_cone, frechet_normal_cone
 from plcq.instances import boundary_basepoints, random_function
 from plcq.linalg import INF, Vec, dot, unit, zeros
-from plcq.plfunc import Atom, Max, PLFunction, _lift_expr, _sublevel_dnf, expr_value
+from plcq.plfunc import Atom, Max, PLFunction, _lift_expr, expr_value
 from plcq.polyhedra import HPolyhedron, NormSpec, UnionPolyhedron, distance
 from plcq.subdiff import clarke_singular_subdiff, clarke_subdiff, frechet_subdiff
 
 from conftest import random_point, random_polyhedron
+from test_sublevel_reference import _reference_sublevel_dnf as _sublevel_dnf
 
 F = Fraction
 
